@@ -312,11 +312,6 @@ class NormalForm:
         return not self.factors
 
 
-def _descents_left(p: Perm) -> set[int]:
-    """{i : sigma_i divides the permutation braid of p on the left}."""
-    return {i for i in range(1, len(p)) if p[i - 1] > p[i]}
-
-
 def _left_weight_pair(A: Perm, B: Perm, m: int) -> tuple[Perm, Perm, bool]:
     """Slide generators from B into A until (A, B) is left-weighted."""
     moved = False

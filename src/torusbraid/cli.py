@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-count", type=int, required=True, metavar="M",
                    help="number of cables (degree = N*M)")
     p.add_argument("--witness", metavar="FILE",
-                   help="supply a cabling witness instead of searching")
+                   help="supply a cabling witness instead of reading one off")
     p.add_argument("--save-witness", metavar="FILE",
                    help="write the verified certificate to FILE")
     p.set_defaults(func=_cmd_ribbon)
@@ -367,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from typing import Union
 
 from .braids import BraidWord, Letter, commute_check, word
@@ -228,6 +229,12 @@ def _climb(s: int, m: int) -> list[Step]:
             R3(s + 3, 1),
             FarSwap(s + 2),
         ]
+    return _reconnect(s, 1, 1) + [_shift_step(st, s) for st in _climb_path(m)]
+
+
+@cache
+def _climb_path(m: int) -> tuple[Step, ...]:
+    """The searched part of :func:`_climb` at offset 0; it depends on m alone."""
     start = [(1, 1)] + [(i, 1) for i in range(1, m)] * 2
     goal = [(i, 1) for i in range(1, m)] * 2 + [(m - 1, 1)]
     path = _word_path(start, goal, budget=200_000)
@@ -235,7 +242,7 @@ def _climb(s: int, m: int) -> list[Step]:
         raise MovieGenerationError(
             f"no rewriting found for s1 through delta^2 at degree {m}"
         )
-    return _reconnect(s, 1, 1) + [_shift_step(st, s) for st in path]
+    return tuple(path)
 
 
 def _shift_step(step: Step, offset: int) -> Step:
@@ -473,42 +480,46 @@ def read_movie(path: str) -> ChartMovie:
     a: BraidWord | None = None
     b: BraidWord | None = None
     steps: list[Step] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
-            try:
-                if key == "degree":
-                    degree = int(rest)
-                elif key in ("a", "b"):
-                    if degree is None:
-                        raise ValueError("degree must come first")
-                    braid = parse_braid(rest, degree)
-                    if key == "a":
-                        a = braid
-                    else:
-                        b = braid
-                elif key == "far":
-                    steps.append(FarSwap(int(rest)))
-                elif key == "r3":
-                    pos, sign = rest.split()
-                    steps.append(R3(int(pos), _parse_sign(sign)))
-                elif key == "cancel":
-                    steps.append(CancelPair(int(rest)))
-                elif key == "insert":
-                    pos, index, sign = rest.split()
-                    steps.append(
-                        InsertPair(int(pos), int(index), _parse_sign(sign))
-                    )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read movie file {path}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
+        try:
+            if key == "degree":
+                degree = int(rest)
+            elif key in ("a", "b"):
+                if degree is None:
+                    raise ValueError("degree must come first")
+                braid = parse_braid(rest, degree)
+                if key == "a":
+                    a = braid
                 else:
-                    raise ValueError(f"unknown directive {key!r}")
-            except ValueError as exc:
-                raise PreconditionError(
-                    f"{path}:{lineno}: bad movie line {line!r} ({exc})"
-                ) from None
+                    b = braid
+            elif key == "far":
+                steps.append(FarSwap(int(rest)))
+            elif key == "r3":
+                pos, sign = rest.split()
+                steps.append(R3(int(pos), _parse_sign(sign)))
+            elif key == "cancel":
+                steps.append(CancelPair(int(rest)))
+            elif key == "insert":
+                pos, index, sign = rest.split()
+                steps.append(
+                    InsertPair(int(pos), int(index), _parse_sign(sign))
+                )
+            else:
+                raise ValueError(f"unknown directive {key!r}")
+        except ValueError as exc:
+            raise PreconditionError(
+                f"{path}:{lineno}: bad movie line {line!r} ({exc})"
+            ) from None
     if degree is None or a is None or b is None:
         raise PreconditionError(
             f"{path}: movie file must declare degree, a and b"

@@ -4,14 +4,16 @@ A commuting pair ``(a, b)`` of degree ``n*m`` is certified ribbon by
 exhibiting a cable structure: ``b`` factors as a tubular braid on ``m``
 cables of ``n`` strands followed by braids interior to the cables, while
 ``a`` must be a product of interior braids alone (trivial tubular part),
-each of which closes to an unknot.  Unknottedness is decided by a
-three-valued check backed by the Alexander polynomial, so the overall
-verdict is ``Ribbon`` or an honest ``Unknown`` -- never a guess.
+each of which closes to an unknot.  The tubular braid is not searched for:
+it is read off ``b`` by deleting all but the first strand of every cable, so
+"no cable decomposition" is exact for the given blocks, not a spent budget.
+Unknottedness is decided by a three-valued check backed by the Alexander
+polynomial, so the overall verdict is ``Ribbon`` or an honest ``Unknown`` --
+never a guess.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .braids import (
@@ -23,11 +25,10 @@ from .braids import (
     commute_check,
     format_braid,
     iota_embed,
-    normal_form,
     parse_braid,
     permutation,
 )
-from .errors import PreconditionError, SearchBudgetExceeded
+from .errors import PreconditionError
 
 # ---------------------------------------------------------------------------
 # integer Laurent polynomials
@@ -443,70 +444,34 @@ def _block_permutation(w: BraidWord, n: int, m: int) -> tuple[int, ...] | None:
 
 
 def search_decomposition(
-    a: BraidWord,
-    b: BraidWord,
-    n: int,
-    m: int,
-    *,
-    length_cap: int = 16,
-    state_budget: int = 4096,
+    a: BraidWord, b: BraidWord, n: int, m: int
 ) -> CableDecomposition | None:
-    """Bounded search for a cabling witness; the verified result or ``None``.
+    """The cabling witness on ``m`` blocks of ``n`` strands, or ``None``.
 
-    Candidate tubular braids are enumerated shortest-first (positive letters
-    before negative at each index) among words realizing the block
-    permutation of ``b``, deduplicated up to braid equality.  Interior and
-    vertical braids are read off by deleting the other blocks' strands, and
-    every candidate is checked with :func:`verify_decomposition`.  Raises
-    :class:`SearchBudgetExceeded` when the candidate space overflows the
-    budget, which is distinct from an exhausted search returning ``None``.
+    Deleting all but the first strand of each block is well defined on
+    braids; it sends ``cable_lift(r, n)`` to ``r`` and braids inside the
+    cables to the identity.  So the braid ``b`` induces on those strands is
+    the tubular braid of any witness.  The interiors are read off
+    ``cable_lift(tubular)^-1 * b``, the verticals off ``a``, and
+    :func:`verify_decomposition` decides: ``None`` means no witness exists.
     """
     if a.degree != n * m or b.degree != n * m:
         raise PreconditionError(
             f"braid degrees ({a.degree}, {b.degree}) do not match {n} x {m} blocks"
         )
-    target = _block_permutation(b, n, m)
-    if target is None:
+    if _block_permutation(b, n, m) is None:
         return None
     if _block_permutation(a, n, m) != tuple(range(1, m + 1)):
         return None
+    letters = list(_extract_block(b, frozenset(range(1, n * m + 1, n))).letters)
+    _free_reduce_letters(letters)
+    tubular = BraidWord(m, tuple(letters))
+    rem = cable_lift(tubular, n).inverse() * b
     blocks = [frozenset(range(n * j + 1, n * j + n + 1)) for j in range(m)]
+    interior = tuple(_extract_block(rem, blk) for blk in blocks)
     vertical = tuple(_extract_block(a, blk) for blk in blocks)
-    assembled = BraidWord(n * m, ())
-    for j in range(m):
-        assembled = assembled * iota_embed(vertical[j], n * j, n * (m - 1 - j))
-    if not braids_equal(a, assembled):
-        return None
-
-    letters = [(i, s) for i in range(1, m) for s in (1, -1)]
-    start = BraidWord(m, ())
-    seen = set()
-    nf = normal_form(start)
-    seen.add((nf.infimum, nf.factors))
-    queue: deque[BraidWord] = deque([start])
-    while queue:
-        r = queue.popleft()
-        if permutation(r) == target:
-            rem = cable_lift(r, n).inverse() * b
-            interior = tuple(_extract_block(rem, blk) for blk in blocks)
-            witness = CableDecomposition(n, m, r, interior, vertical)
-            if verify_decomposition(a, b, witness):
-                return witness
-        if len(r.letters) >= length_cap:
-            continue
-        for let in letters:
-            child = BraidWord(m, r.letters + (let,))
-            nf = normal_form(child)
-            key = (nf.infimum, nf.factors)
-            if key in seen:
-                continue
-            if len(seen) >= state_budget:
-                raise SearchBudgetExceeded(
-                    f"tubular braid search exceeded {state_budget} candidates"
-                )
-            seen.add(key)
-            queue.append(child)
-    return None
+    witness = CableDecomposition(n, m, tubular, interior, vertical)
+    return witness if verify_decomposition(a, b, witness) else None
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +500,9 @@ def ribbon_verdict(
 ) -> RibbonVerdict:
     """Certify a commuting pair ribbon via a cabling witness, or say ``Unknown``.
 
-    The witness may be supplied; otherwise a bounded search runs.  ``Ribbon``
+    The witness may be supplied; otherwise it is read off by
+    :func:`search_decomposition`, and ``Unknown`` with "no cable
+    decomposition found" means none exists for these blocks.  ``Ribbon``
     requires the witness to verify and every vertical cable braid to close to
     an unknot; any undecided sub-check yields ``Unknown``.
     """
@@ -546,10 +513,7 @@ def ribbon_verdict(
     if not commute_check(a, b):
         raise PreconditionError("the two braids do not commute")
     if witness is None:
-        try:
-            witness = search_decomposition(a, b, n, m)
-        except SearchBudgetExceeded as exc:
-            return RibbonVerdict(UNKNOWN, None, (), str(exc))
+        witness = search_decomposition(a, b, n, m)
         if witness is None:
             return RibbonVerdict(UNKNOWN, None, (), "no cable decomposition found")
     if not verify_decomposition(a, b, witness):
@@ -593,33 +557,38 @@ def write_witness(cd: CableDecomposition, path: str) -> None:
         lines.append(f"interior{j}: {format_braid(w)}")
     for j, w in enumerate(cd.vertical, 1):
         lines.append(f"vertical{j}: {format_braid(w)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise PreconditionError(f"cannot write witness file {path}: {exc}") from None
 
 
 def read_witness(path: str) -> CableDecomposition:
     """Parse a witness file written by :func:`write_witness`."""
     fields: dict[str, str] = {}
-    order: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("blocks"):
-                fields["blocks"] = line[len("blocks") :].strip()
-                continue
-            if ":" not in line:
-                raise PreconditionError(f"unrecognized witness line: {line!r}")
-            key, val = line.split(":", 1)
-            fields[key.strip()] = val.strip()
-            order.append(key.strip())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read witness file {path}: {exc}") from None
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("blocks"):
+            fields["blocks"] = line[len("blocks") :].strip()
+            continue
+        if ":" not in line:
+            raise PreconditionError(f"unrecognized witness line: {line!r}")
+        key, val = line.split(":", 1)
+        fields[key.strip()] = val.strip()
     if "blocks" not in fields:
         raise PreconditionError("witness file is missing the blocks line")
-    parts = fields["blocks"].replace("x", " ").split()
-    if len(parts) != 2:
-        raise PreconditionError(f"malformed blocks line: {fields['blocks']!r}")
-    n, m = int(parts[0]), int(parts[1])
+    try:
+        n, m = map(int, fields["blocks"].replace("x", " ").split())
+    except ValueError:
+        raise PreconditionError(f"malformed blocks line: {fields['blocks']!r}") from None
     if "tubular" not in fields:
         raise PreconditionError("witness file is missing the tubular braid")
     tubular = parse_braid(fields["tubular"], m)

@@ -142,6 +142,53 @@ def test_ribbon_unknown_exits_3(capsys):
     assert "reason: no cable decomposition found" in out
 
 
+@pytest.mark.parametrize("m, a, b, count", [
+    ("6", "1 3 5", "D^3", "3"),
+    ("8", "1 3 5 7", "D^2", "4"),
+    ("4", "1 3", "D^17", "2"),
+    ("4", "1 3", "D^32", "2"),
+])
+def test_ribbon_read_off_beyond_former_search_caps(capsys, m, a, b, count):
+    code, out, _ = run(
+        capsys, "ribbon", "-m", m, "-a", a, "-b", b,
+        "--block-size", "2", "--block-count", count,
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "verdict: Ribbon"
+
+
+def _bad_file_exits_2(capsys, *argv: str) -> None:
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_movie_directory_exits_2(capsys, tmp_path):
+    _bad_file_exits_2(capsys, "cocycle", "-m", "4", "-a", "1", "-b", "e",
+                      "--movie", str(tmp_path))
+
+
+def test_movie_binary_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "movie.bin"
+    path.write_bytes(bytes([0x80, 0xFF, 0xFE, 0x00, 0xC3]) * 13)
+    _bad_file_exits_2(capsys, "cocycle", "-m", "4", "-a", "1", "-b", "e",
+                      "--movie", str(path))
+
+
+def test_witness_non_integer_blocks_exits_2(capsys, tmp_path):
+    path = tmp_path / "witness.txt"
+    path.write_text("blocks 2 x q\ntubular: 1 1\n", encoding="utf-8")
+    _bad_file_exits_2(capsys, "ribbon", "-m", "4", "-a", "1 3", "-b", "D^2",
+                      "--block-size", "2", "--block-count", "2", "--witness", str(path))
+
+
+def test_unwritable_witness_path_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "witness.txt"
+    _bad_file_exits_2(capsys, "ribbon", "-m", "4", "-a", "1 3", "-b", "D^2",
+                      "--block-size", "2", "--block-count", "2", "--save-witness", str(path))
+
+
 def test_transform_rho_output(capsys):
     code, out, _ = run(capsys, "transform", "-m", "2", "-a", "1 1 1", "-b", "", "rho")
     assert code == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -12,12 +13,17 @@ from torusbraid.braids import (
     cable_lift,
     closure_components,
     garside_delta,
+    iota_embed,
+    normal_form,
+    permutation,
     word,
 )
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 from torusbraid.ribbon import (
     CableDecomposition,
     Laurent,
+    _block_permutation,
+    _extract_block,
     alexander_polynomial,
     read_witness,
     reduced_burau,
@@ -225,38 +231,120 @@ def test_search_returns_none_for_non_interior_a():
     assert search_decomposition(word(4, [2, 2]), garside_delta(4) ** 2, 2, 2) is None
 
 
-def test_search_budget_is_distinct():
-    with pytest.raises(SearchBudgetExceeded):
-        search_decomposition(
-            word(4, [1, 3]), garside_delta(4) ** 2, 2, 2, state_budget=1
-        )
+def _oracle_search(a, b, n, m, length_cap=16, state_budget=4096):
+    """Shortest-first search for a tubular braid, the oracle for the read-off.
+
+    Tubular words realizing the block permutation of ``b`` are enumerated
+    shortest first, deduplicated by normal form; the first one whose witness
+    verifies is returned.  ``None`` when the words up to ``length_cap``
+    letters run out; :class:`SearchBudgetExceeded` past ``state_budget``.
+    """
+    target = _block_permutation(b, n, m)
+    if target is None or _block_permutation(a, n, m) != tuple(range(1, m + 1)):
+        return None
+    blocks = [frozenset(range(n * j + 1, n * j + n + 1)) for j in range(m)]
+    vertical = tuple(_extract_block(a, blk) for blk in blocks)
+    letters = [(i, s) for i in range(1, m) for s in (1, -1)]
+    start = BraidWord(m, ())
+    nf = normal_form(start)
+    seen = {(nf.infimum, nf.factors)}
+    queue = deque([start])
+    while queue:
+        r = queue.popleft()
+        if permutation(r) == target:
+            rem = cable_lift(r, n).inverse() * b
+            interior = tuple(_extract_block(rem, blk) for blk in blocks)
+            witness = CableDecomposition(n, m, r, interior, vertical)
+            if verify_decomposition(a, b, witness):
+                return witness
+        if len(r.letters) >= length_cap:
+            continue
+        for let in letters:
+            child = BraidWord(m, r.letters + (let,))
+            nf = normal_form(child)
+            key = (nf.infimum, nf.factors)
+            if key in seen:
+                continue
+            if len(seen) >= state_budget:
+                raise SearchBudgetExceeded(f"exceeded {state_budget} candidates")
+            seen.add(key)
+            queue.append(child)
+    return None
+
+
+def _census_ribbon_families():
+    """``(a, b, n, m)`` of the ribbon families in the benchmark census."""
+    for k in range(1, 17):
+        b = garside_delta(4) ** k
+        for e1 in (1, -1):
+            for e3 in (1, -1):
+                yield word(4, [e1, 3 * e3]), b, 2, 2
+    for k in (1, 2):
+        for e1 in (1, -1):
+            for e2 in (1, -1):
+                for e3 in ((e1,) if k == 1 else (1, -1)):
+                    yield word(6, [e1, 3 * e2, 5 * e3]), garside_delta(6) ** k, 2, 3
+    for k in (2, 4, 6, 8):
+        for e1 in (1, -1):
+            for e2 in (1, -1):
+                a = word(6, [1, 2]) ** e1 * word(6, [4, 5]) ** e2
+                yield a, garside_delta(6) ** k, 3, 2
+
+
+def test_read_off_agrees_with_search_oracle():
+    for a, b, n, m in _census_ribbon_families():
+        found = search_decomposition(a, b, n, m)
+        oracle = _oracle_search(a, b, n, m)
+        assert (found is None) == (oracle is None)
+        if found is None:
+            continue
+        assert braids_equal(found.tubular, oracle.tubular)
+        for mine, theirs in zip(found.interior + found.vertical,
+                                oracle.interior + oracle.vertical):
+            assert braids_equal(mine, theirs)
+        if braids_equal(a * b, b * a):
+            assert (ribbon_verdict(a, b, n, m).status
+                    == ribbon_verdict(a, b, n, m, oracle).status)
+
+
+def _random_word(rng, degree, max_len):
+    return word(degree, [rng.choice([1, -1]) * rng.randint(1, degree - 1)
+                         for _ in range(rng.randint(0, max_len))])
 
 
 def test_random_forward_compositions_always_verify():
     rng = random.Random(12)
-    for _ in range(20):
-        n, m = 2, 2
-        tubular = word(m, [rng.choice([1, -1]) for _ in range(rng.randint(0, 3))] or [])
-        interior = tuple(
-            word(n, [rng.choice([1, -1]) for _ in range(rng.randint(0, 3))])
-            for _ in range(m)
-        )
-        vertical = tuple(
-            word(n, [rng.choice([1, -1]) for _ in range(rng.randint(0, 3))])
-            for _ in range(m)
-        )
-        cd = CableDecomposition(n, m, tubular, interior, vertical)
-        b = cable_lift(tubular, n)
-        for j in range(m):
-            from torusbraid.braids import iota_embed
+    for n, m in ((2, 2), (2, 3), (3, 2), (2, 4)):
+        for _ in range(20):
+            tubular = _random_word(rng, m, 3)
+            interior = tuple(_random_word(rng, n, 3) for _ in range(m))
+            vertical = tuple(_random_word(rng, n, 3) for _ in range(m))
+            cd = CableDecomposition(n, m, tubular, interior, vertical)
+            b = cable_lift(tubular, n)
+            a = BraidWord(n * m, ())
+            for j in range(m):
+                b = b * iota_embed(interior[j], n * j, n * (m - 1 - j))
+                a = a * iota_embed(vertical[j], n * j, n * (m - 1 - j))
+            assert verify_decomposition(a, b, cd)
+            found = search_decomposition(a, b, n, m)
+            assert found is not None
+            assert braids_equal(found.tubular, tubular)
+            assert verify_decomposition(a, b, found)
 
-            b = b * iota_embed(interior[j], n * j, n * (m - 1 - j))
-        a = BraidWord(n * m, ())
-        for j in range(m):
-            from torusbraid.braids import iota_embed
 
-            a = a * iota_embed(vertical[j], n * j, n * (m - 1 - j))
-        assert verify_decomposition(a, b, cd)
+@pytest.mark.parametrize("a, k, n, m", [
+    ([1, 3, 5], 3, 2, 3),
+    ([1, 3, 5, 7], 2, 2, 4),
+    ([1, 3], 17, 2, 2),
+])
+def test_read_off_certifies_pairs_beyond_the_search(a, k, n, m):
+    # _oracle_search gives up on these: the tubular braid Delta^k lies past
+    # its candidate budget (2 x 3, 2 x 4) or its length cap (k = 17)
+    a, b = word(n * m, a), garside_delta(n * m) ** k
+    v = ribbon_verdict(a, b, n, m)
+    assert v.status == "Ribbon"
+    assert braids_equal(v.certificate.tubular, garside_delta(m) ** k)
+    assert verify_decomposition(a, b, v.certificate)
 
 
 # ---------------------------------------------------------------------------
