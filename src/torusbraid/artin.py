@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .braids import BraidWord
+from .braids import BraidWord, word
 from .errors import PreconditionError
 
 FreeLetter = tuple[int, int]
@@ -72,13 +72,12 @@ class FreeWord:
 
 
 def free_word(rank: int, letters: Iterable[int]) -> FreeWord:
-    """Build a word from signed generator numbers: ``free_word(4, [1, -2])``."""
-    out: list[FreeLetter] = []
-    for v in letters:
-        if v == 0:
-            raise PreconditionError("0 is not a valid signed letter")
-        out.append((abs(v), 1 if v > 0 else -1))
-    return FreeWord(rank, tuple(out))
+    """Build a word from signed generator numbers: ``free_word(4, [1, -2])``.
+
+    ``x1 .. x_rank`` are spelled like the generators of the braid group on
+    ``rank + 1`` strands, so :func:`torusbraid.braids.word` reads them.
+    """
+    return FreeWord(rank, word(rank + 1, letters).letters)
 
 
 def generator(rank: int, j: int) -> FreeWord:

@@ -5,13 +5,15 @@ generator indices, ``s``-tokens, parenthesized powers, ``D`` for the
 half twist, ``e`` for the empty word), prints deterministic text, and
 offers ``--json`` for versioned machine-readable output.  Exit codes:
 0 for a completed computation, 2 for a precondition failure, 3 for an
-honest ``Unknown`` verdict.
+honest ``Unknown`` verdict, 141 when the reader of the output closes the pipe
+early (as a shell reports a process killed by ``SIGPIPE``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .artin import format_free_word
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, metavar="NAME",
                    help="target group: S<k>, D<k> or Z<k>")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel workers (result is worker-independent)")
+                   help="accepted and ignored: counting runs in one process")
     p.set_defaults(func=_cmd_quotients)
 
     p = sub.add_parser("colorings", parents=[pair, js],
@@ -357,11 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (MovieValidationError, MovieGenerationError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads the rest; send it to devnull so that the flush at
+        # interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports it
+    except (PreconditionError, MovieValidationError, MovieGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except SearchBudgetExceeded as exc:

@@ -37,7 +37,14 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Union
 
-from .braids import BraidWord, Letter, commute_check, word
+from .braids import (
+    BraidWord,
+    Letter,
+    commute_check,
+    format_braid,
+    parse_braid,
+    word,
+)
 from .errors import (
     MovieGenerationError,
     MovieValidationError,
@@ -217,18 +224,9 @@ def _climb(s: int, m: int) -> list[Step]:
     """Slide ``s1`` through two delta periods, emerging as ``s_{m-1}``.
 
     Starts with a reconnection against the first period's own s1, then climbs
-    one index per positive triple point.  Exact recipes for degrees 3 and 4;
-    larger degrees search for a minimal-triple-point path.
+    one index per positive triple point along a searched minimal-triple-point
+    path.
     """
-    if m == 3:
-        return _reconnect(s, 1, 1) + [R3(s + 1, 1)]
-    if m == 4:
-        return _reconnect(s, 1, 1) + [
-            FarSwap(s + 3),
-            R3(s + 1, 1),
-            R3(s + 3, 1),
-            FarSwap(s + 2),
-        ]
     return _reconnect(s, 1, 1) + [_shift_step(st, s) for st in _climb_path(m)]
 
 
@@ -412,7 +410,7 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
             "mixed-sign pairs are not supported by the slide generator"
         )
     if signs == {-1}:
-        positive = slide_movie(_negate(a), _negate(b))
+        positive = slide_movie(*mirror_chart(a, b))
         steps = tuple(_mirror_step(st) for st in positive.steps)
         movie = ChartMovie(a.degree, a, b, steps)
         validate_movie(movie)
@@ -426,8 +424,12 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
     return movie
 
 
-def _negate(w: BraidWord) -> BraidWord:
-    return BraidWord(w.degree, tuple((i, -s) for i, s in w.letters))
+def mirror_chart(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord]:
+    """The mirror pair: every crossing of both words reversed in place."""
+    return (
+        BraidWord(a.degree, tuple((i, -s) for i, s in a.letters)),
+        BraidWord(b.degree, tuple((i, -s) for i, s in b.letters)),
+    )
 
 
 def _mirror_step(step: Step) -> Step:
@@ -447,8 +449,8 @@ def write_movie(movie: ChartMovie, path: str) -> None:
     """Write the plain-text movie format (see :func:`read_movie`)."""
     lines = [
         f"degree {movie.degree}",
-        "a " + (" ".join(str(i * s) for i, s in movie.braid_a.letters) or "e"),
-        "b " + (" ".join(str(i * s) for i, s in movie.braid_b.letters) or "e"),
+        f"a {format_braid(movie.braid_a)}",
+        f"b {format_braid(movie.braid_b)}",
     ]
     for st in movie.steps:
         if isinstance(st, FarSwap):
@@ -474,8 +476,6 @@ def read_movie(path: str) -> ChartMovie:
     Blank lines and ``#`` comments are ignored.  The movie is not validated
     here; run :func:`validate_movie`.
     """
-    from .braids import parse_braid
-
     degree: int | None = None
     a: BraidWord | None = None
     b: BraidWord | None = None

@@ -20,7 +20,6 @@ image of the braid-axis meridian and is what powers the central quotients of
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -65,19 +64,17 @@ def format_presentation(p: GroupPresentation) -> str:
     return f"< {gens} | {rels} >"
 
 
-def torus_covering_group(
-    a: BraidWord, b: BraidWord, *, require_commuting: bool = True
-) -> GroupPresentation:
+def torus_covering_group(a: BraidWord, b: BraidWord) -> GroupPresentation:
     """Meridian presentation of the link group of the pair ``(a, b)``.
 
-    Raises a precondition error if the braids do not commute (the pair does
-    not define a surface in that case), unless ``require_commuting=False``.
+    Raises a precondition error if the degrees differ or the braids do not
+    commute (the pair does not define a surface in that case).
     """
     if a.degree != b.degree:
         raise PreconditionError(
             f"braid degrees differ: {a.degree} vs {b.degree}"
         )
-    if require_commuting and not commute_check(a, b):
+    if not commute_check(a, b):
         raise PreconditionError(
             "the two braids do not commute, so they do not define a link"
         )
@@ -302,8 +299,6 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
         for j, s in rel.letters:
             row[j - 1] += s
         rows.append(row)
-    if not rows:
-        return AbelianInvariants(p.rank, ())
     divisors = smith_invariants(rows)
     torsion = tuple(d for d in divisors if d > 1)
     return AbelianInvariants(p.rank - len(divisors), torsion)
@@ -421,41 +416,19 @@ def _generates(images, mult, identity, n) -> bool:
     return len(seen) == n
 
 
-def _count_block(args) -> tuple[int, int, int]:
-    mult, inv, identity, relators, g, first_values = args
-    n = len(mult)
-    homs = epis = abelian = 0
-    for first in first_values:
-        for rest in itertools.product(range(n), repeat=g - 1):
-            images = (first, *rest)
-            if not all(
-                _relator_holds(r, images, mult, inv, identity) for r in relators
-            ):
-                continue
-            homs += 1
-            if all(
-                mult[images[u]][images[v]] == mult[images[v]][images[u]]
-                for u in range(g)
-                for v in range(u)
-            ):
-                abelian += 1
-            if _generates(images, mult, identity, n):
-                epis += 1
-    return homs, epis, abelian
-
-
 def finite_quotient_count(
     p: GroupPresentation, group: FiniteGroup, *, workers: int = 1
 ) -> QuotientCounts:
     """Count homomorphisms, epimorphisms, and abelian-image homomorphisms.
 
     Exhaustive over all ``size**rank`` generator-image tuples (precondition:
-    at most ``10**8``).  ``workers > 1`` splits on the first generator's image
-    via a process pool; partial counts are summed in a fixed order, so the
-    result never depends on the worker count.
+    at most ``10**8``), in one process.  ``workers`` must be at least 1 and
+    has no other effect; it is kept so that existing callers still work.
     """
+    if workers < 1:
+        raise PreconditionError("workers must be >= 1")
     g = p.rank
-    n = group.size
+    mult, inv, identity, n = group.mult, group.inverse, group.identity, group.size
     if g == 0:
         epi = 1 if n == 1 else 0
         return QuotientCounts(1, epi, 1)
@@ -464,24 +437,17 @@ def finite_quotient_count(
             f"enumeration of {n}^{g} tuples exceeds the cap of {TUPLE_CAP}"
         )
     relators = tuple(r.letters for r in p.relators)
-    if workers < 1:
-        raise PreconditionError("workers must be >= 1")
-    blocks: list[list[int]]
-    if workers == 1 or n == 1:
-        blocks = [list(range(n))]
-    else:
-        workers = min(workers, n)
-        blocks = [list(range(n))[w::workers] for w in range(workers)]
-    args = [
-        (group.mult, group.inverse, group.identity, relators, g, block)
-        for block in blocks
-    ]
-    if len(args) == 1:
-        parts = [_count_block(args[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
-            parts = list(pool.map(_count_block, args))
-    homs = sum(x[0] for x in parts)
-    epis = sum(x[1] for x in parts)
-    abelian = sum(x[2] for x in parts)
+    homs = epis = abelian = 0
+    for images in itertools.product(range(n), repeat=g):
+        if not all(_relator_holds(r, images, mult, inv, identity) for r in relators):
+            continue
+        homs += 1
+        if all(
+            mult[images[u]][images[v]] == mult[images[v]][images[u]]
+            for u in range(g)
+            for v in range(u)
+        ):
+            abelian += 1
+        if _generates(images, mult, identity, n):
+            epis += 1
     return QuotientCounts(homs, epis, abelian)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .braids import BraidWord, Letter
 from .errors import PreconditionError
 from .movies import R3, ChartMovie, apply_step, slide_movie
+from .movies import mirror_chart  # noqa: F401  re-exported
 from . import movies as _movies
 
 COLORING_CAP = 10**7
@@ -263,10 +264,3 @@ def cocycle_invariant(
         total = total + GroupRingElement.monomial(w)
     return total
 
-
-def mirror_chart(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord]:
-    """The mirror pair: every crossing of both words reversed in place."""
-    return (
-        BraidWord(a.degree, tuple((i, -s) for i, s in a.letters)),
-        BraidWord(b.degree, tuple((i, -s) for i, s in b.letters)),
-    )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .artin import FreeWord, free_reduce
 from .braids import (
     BraidWord,
     Letter,
@@ -250,19 +251,6 @@ class UnknotVerdict:
     evidence: str
 
 
-def _free_reduce_letters(letters: list[Letter]) -> bool:
-    changed = False
-    stack: list[Letter] = []
-    for let in letters:
-        if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
-            stack.pop()
-            changed = True
-        else:
-            stack.append(let)
-    letters[:] = stack
-    return changed
-
-
 def _cyclic_reduce(letters: list[Letter]) -> bool:
     changed = False
     while len(letters) >= 2 and (
@@ -298,7 +286,7 @@ def _destabilize(degree: int, letters: list[Letter]) -> int:
             del letters[top[0]]
             return degree - 1
         bottom = [k for k, (i, _) in enumerate(letters) if i == 1]
-        if len(bottom) == 1 and degree >= 2:
+        if len(bottom) == 1:
             del letters[bottom[0]]
             letters[:] = [(i - 1, s) for i, s in letters]
             return degree - 1
@@ -308,7 +296,9 @@ def _destabilize(degree: int, letters: list[Letter]) -> int:
 def _simplify_closure(degree: int, letters: list[Letter]) -> int:
     """Shrink a braid word by moves that preserve its closure."""
     while True:
-        if _free_reduce_letters(letters):
+        reduced = free_reduce(FreeWord(degree, tuple(letters))).letters
+        if len(reduced) < len(letters):
+            letters[:] = reduced
             continue
         if _cyclic_reduce(letters):
             continue
@@ -463,9 +453,8 @@ def search_decomposition(
         return None
     if _block_permutation(a, n, m) != tuple(range(1, m + 1)):
         return None
-    letters = list(_extract_block(b, frozenset(range(1, n * m + 1, n))).letters)
-    _free_reduce_letters(letters)
-    tubular = BraidWord(m, tuple(letters))
+    strands = _extract_block(b, frozenset(range(1, n * m + 1, n)))
+    tubular = BraidWord(m, free_reduce(FreeWord(m, strands.letters)).letters)
     rem = cable_lift(tubular, n).inverse() * b
     blocks = [frozenset(range(n * j + 1, n * j + n + 1)) for j in range(m)]
     interior = tuple(_extract_block(rem, blk) for blk in blocks)

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import torusbraid
 from torusbraid.cli import SCHEMA, main
+
+SRC = os.path.dirname(os.path.dirname(torusbraid.__file__))
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -227,3 +233,36 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _fresh_python(*args: str, **kwargs) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # one output line of about 390 KB, far more than a 64 KiB pipe buffer
+    proc = _fresh_python(
+        "-m", "torusbraid.cli", "group", "-m", "3",
+        "-a", "(1 -2)^10", "-b", "(1 -2)^10",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(16).startswith(b"< x1")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err
+
+
+def test_cli_import_starts_no_process_machinery():
+    proc = _fresh_python(
+        "-c",
+        "import sys, torusbraid.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules])",
+        stdout=subprocess.PIPE,
+    )
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert out.decode().strip() == "[]"

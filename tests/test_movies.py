@@ -121,6 +121,21 @@ def test_slide_movie_degree_five_climb():
     assert len(movie.steps) == 20
 
 
+def test_slide_movie_low_degree_climbs_pinned():
+    # s1 through delta^m climbs two periods, then descends: at degrees 3 and
+    # 4 these are the whole step lists, climb included
+    movie = slide_movie(word(3, [1]), word(3, [1, 2]) ** 3)
+    assert movie.steps == (
+        InsertPair(1, 1, -1), CancelPair(0), R3(1, 1), R3(4, -1),
+    )
+    movie = slide_movie(word(4, [1]), word(4, [1, 2, 3]) ** 4)
+    assert movie.steps == (
+        InsertPair(1, 1, -1), CancelPair(0),
+        FarSwap(3), R3(1, 1), R3(3, 1), FarSwap(2),
+        FarSwap(6), R3(7, -1), R3(9, -1), FarSwap(11),
+    )
+
+
 def test_slide_movie_mirror_pair():
     am = word(4, [-1, -2, -2, -2, -3])
     bm = (word(4, [-3, -2, -1])) ** 4

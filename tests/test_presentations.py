@@ -11,6 +11,7 @@ from torusbraid.braids import BraidWord, garside_delta, word
 from torusbraid.errors import PreconditionError
 from torusbraid.presentations import (
     AbelianInvariants,
+    GroupPresentation,
     abelianization,
     add_relator,
     central_twist_relator,
@@ -187,6 +188,13 @@ def test_worker_counts_agree():
     base = finite_quotient_count(p, symmetric_group(3), workers=1)
     for workers in (2, 3):
         assert finite_quotient_count(p, symmetric_group(3), workers=workers) == base
+
+
+def test_worker_count_below_one_rejected():
+    p = tietze_eliminate(torus_covering_group(*SPUN_TREFOIL))
+    for q in (p, GroupPresentation((), ())):  # rank 0 returns early
+        with pytest.raises(PreconditionError, match="workers"):
+            finite_quotient_count(q, symmetric_group(3), workers=0)
 
 
 def test_cyclic_hom_count_matches_enumeration():
