@@ -29,10 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SearchBudgetExceeded
 
 Letter = tuple[int, int]
 Perm = tuple[int, ...]
+
+# Most letters parse_braid expands a word to: powers are typed by the user,
+# and ``s1^10000000000`` would otherwise ask for 10^10 letters.
+WORD_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +131,9 @@ def parse_braid(text: str, degree: int) -> BraidWord:
       whitespace-delimited except for the trailing ``^k``,
     * ``e``: the empty word (handy as a whole-input placeholder).
 
+    A word that would expand to more than ``WORD_CAP`` letters, in a group or
+    in total, raises :class:`SearchBudgetExceeded` before it is built.
+
     >>> parse_braid("1 2 2 2 3", 4).letters
     ((1, 1), (2, 1), (2, 1), (2, 1), (3, 1))
     >>> parse_braid("s1^3", 2) == word(2, [1, 1, 1])
@@ -146,7 +153,7 @@ def parse_braid(text: str, degree: int) -> BraidWord:
                 return out
             pos += 1
             if tok == "(":
-                inner = parse_seq(depth + 1)
+                base = parse_seq(depth + 1)
                 if pos >= len(tokens) or tokens[pos] != ")":
                     raise PreconditionError("unbalanced '(' in braid word")
                 pos += 1
@@ -154,9 +161,14 @@ def parse_braid(text: str, degree: int) -> BraidWord:
                 if pos < len(tokens) and tokens[pos].startswith("^"):
                     power = _parse_power(tokens[pos])
                     pos += 1
-                out.extend(_word_power(inner, power))
             else:
-                out.extend(_parse_token(tok, degree))
+                base, power = _parse_token(tok, degree)
+            size = len(out) + len(base) * abs(power)
+            if size > WORD_CAP:
+                raise SearchBudgetExceeded(
+                    f"braid word reaches {size} letters, over the cap of {WORD_CAP}"
+                )
+            out.extend(_word_power(base, power))
         if depth != 0:
             raise PreconditionError("unbalanced '(' in braid word")
         return out
@@ -180,7 +192,8 @@ def _word_power(letters: list[Letter], k: int) -> list[Letter]:
     return inv * (-k)
 
 
-def _parse_token(tok: str, degree: int) -> list[Letter]:
+def _parse_token(tok: str, degree: int) -> tuple[list[Letter], int]:
+    """A token's letters and its power, not yet expanded."""
     base, caret, exp = tok.partition("^")
     power = 1
     if caret:
@@ -189,9 +202,9 @@ def _parse_token(tok: str, degree: int) -> list[Letter]:
         except ValueError:
             raise PreconditionError(f"bad power in token {tok!r}") from None
     if base in ("D", "d"):
-        return _word_power(list(garside_delta(degree).letters), power)
+        return list(garside_delta(degree).letters), power
     if base in ("e", "E"):
-        return []
+        return [], power
     if base.startswith("s"):
         base = base[1:]
     try:
@@ -200,8 +213,7 @@ def _parse_token(tok: str, degree: int) -> list[Letter]:
         raise PreconditionError(f"unrecognized braid token {tok!r}") from None
     if v == 0:
         raise PreconditionError("0 is not a valid braid letter")
-    letter: Letter = (abs(v), 1 if v > 0 else -1)
-    return _word_power([letter], power)
+    return [(abs(v), 1 if v > 0 else -1)], power
 
 
 def garside_delta(degree: int) -> BraidWord:

@@ -3,8 +3,10 @@
 Every subcommand reads braid words in the shared text grammar (signed
 generator indices, ``s``-tokens, parenthesized powers, ``D`` for the
 half twist, ``e`` for the empty word), prints deterministic text, and
-offers ``--json`` for versioned machine-readable output.  Exit codes:
-0 for a completed computation, 2 for a precondition failure, 3 for an
+offers ``--json`` for versioned machine-readable output.  In ``group --json``
+the relators name generators by position: ``xk`` is the k-th entry of
+``generators``, whereas the text form spells them with those names.  Exit
+codes: 0 for a completed computation, 2 for a precondition failure, 3 for an
 honest ``Unknown`` verdict, 141 when the reader of the output closes the pipe
 early (as a shell reports a process killed by ``SIGPIPE``).
 """
@@ -15,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .artin import format_free_word
 from .braids import BraidWord, format_braid, parse_braid
@@ -39,13 +42,7 @@ from .presentations import (
     torus_covering_group,
 )
 from .quandles import cocycle_invariant, dihedral_quandle, torus_colorings
-from .ribbon import (
-    RIBBON,
-    CableDecomposition,
-    read_witness,
-    ribbon_verdict,
-    write_witness,
-)
+from .ribbon import RIBBON, read_witness, ribbon_verdict, write_witness
 from .transforms import ChartData, h_membership, rho, tau
 
 SCHEMA = "torusbraid.v1"
@@ -55,14 +52,14 @@ EXIT_PRECONDITION = 2
 EXIT_UNKNOWN = 3
 
 
-def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
-    if getattr(args, "json", False):
-        doc = {"schema": SCHEMA, "command": args.command}
-        doc.update(payload)
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+# What a handler returns: exit code, JSON payload (tuples serialize as
+# arrays), text lines.  ``main`` alone prints it.
+Result = tuple[int, dict, list[str]]
+
+
+def _fields(payload: dict, *keys: str) -> list[str]:
+    """Text lines ``name: value`` for payload fields, ``_`` in a key read as a space."""
+    return [f"{key.replace('_', ' ')}: {payload[key]}" for key in keys]
 
 
 def _braid_pair(args: argparse.Namespace) -> tuple[BraidWord, BraidWord]:
@@ -75,41 +72,32 @@ def _braid_pair(args: argparse.Namespace) -> tuple[BraidWord, BraidWord]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_group(args: argparse.Namespace) -> int:
+def _cmd_group(args: argparse.Namespace) -> Result:
     a, b = _braid_pair(args)
     p = torus_covering_group(a, b)
     if args.simplify:
         p = tietze_eliminate(p)
-    _emit(
-        args,
-        [format_presentation(p)],
-        {
-            "degree": args.degree,
-            "generators": list(p.generators),
-            "relators": [format_free_word(r) for r in p.relators],
-        },
-    )
-    return EXIT_OK
+    payload = {
+        "degree": args.degree,
+        "generators": p.generators,
+        "relators": [format_free_word(r) for r in p.relators],
+    }
+    return EXIT_OK, payload, [format_presentation(p)]
 
 
-def _cmd_abelianization(args: argparse.Namespace) -> int:
+def _cmd_abelianization(args: argparse.Namespace) -> Result:
     a, b = _braid_pair(args)
     p = torus_covering_group(a, b)
     if args.quotient_center:
         p = add_relator(p, central_twist_relator(p, b))
-    p = tietze_eliminate(p)
-    inv = abelianization(p)
-    _emit(
-        args,
-        [str(inv)],
-        {
-            "degree": args.degree,
-            "quotient_center": bool(args.quotient_center),
-            "rank": inv.rank,
-            "torsion": list(inv.torsion),
-        },
-    )
-    return EXIT_OK
+    inv = abelianization(tietze_eliminate(p))
+    payload = {
+        "degree": args.degree,
+        "quotient_center": args.quotient_center,
+        "rank": inv.rank,
+        "torsion": inv.torsion,
+    }
+    return EXIT_OK, payload, [str(inv)]
 
 
 def _parse_finite_group(name: str) -> FiniteGroup:
@@ -126,131 +114,83 @@ def _parse_finite_group(name: str) -> FiniteGroup:
     return cyclic_group(k)
 
 
-def _cmd_quotients(args: argparse.Namespace) -> int:
+def _cmd_quotients(args: argparse.Namespace) -> Result:
     a, b = _braid_pair(args)
     group = _parse_finite_group(args.group)
-    p = tietze_eliminate(torus_covering_group(a, b))
-    counts = finite_quotient_count(p, group, workers=args.workers)
-    _emit(
-        args,
-        [
-            f"group: {group.name}",
-            f"homomorphisms: {counts.homomorphisms}",
-            f"epimorphisms: {counts.epimorphisms}",
-            f"abelian image: {counts.abelian_image}",
-        ],
-        {
-            "degree": args.degree,
-            "group": group.name,
-            "homomorphisms": counts.homomorphisms,
-            "epimorphisms": counts.epimorphisms,
-            "abelian_image": counts.abelian_image,
-        },
-    )
-    return EXIT_OK
+    counts = finite_quotient_count(tietze_eliminate(torus_covering_group(a, b)), group)
+    payload = {"degree": args.degree, "group": group.name, **asdict(counts)}
+    lines = _fields(payload, "group", "homomorphisms", "epimorphisms", "abelian_image")
+    return EXIT_OK, payload, lines
 
 
-def _cmd_colorings(args: argparse.Namespace) -> int:
+def _cmd_colorings(args: argparse.Namespace) -> Result:
     a, b = _braid_pair(args)
-    q = dihedral_quandle(args.quandle)
-    cols = torus_colorings(a, b, q)
+    cols = torus_colorings(a, b, dihedral_quandle(args.quandle))
+    payload = {
+        "degree": args.degree,
+        "quandle": args.quandle,
+        "count": len(cols),
+        "colorings": cols,
+    }
     lines = [f"quandle: dihedral {args.quandle}", f"colorings: {len(cols)}"]
     lines.extend(" ".join(str(c) for c in v) for v in cols)
-    _emit(
-        args,
-        lines,
-        {
-            "degree": args.degree,
-            "quandle": args.quandle,
-            "count": len(cols),
-            "colorings": [list(v) for v in cols],
-        },
-    )
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_cocycle(args: argparse.Namespace) -> int:
+def _cmd_cocycle(args: argparse.Namespace) -> Result:
     a, b = _braid_pair(args)
     movie = read_movie(args.movie) if args.movie else None
     phi = cocycle_invariant(a, b, movie=movie)
-    _emit(
-        args,
-        [str(phi), "coefficients: " + " ".join(str(c) for c in phi.coeffs)],
-        {"degree": args.degree, "coefficients": list(phi.coeffs)},
-    )
-    return EXIT_OK
+    payload = {"degree": args.degree, "coefficients": phi.coeffs}
+    return EXIT_OK, payload, [str(phi), "coefficients: " + " ".join(map(str, phi.coeffs))]
 
 
-def _witness_payload(cd: CableDecomposition) -> dict:
-    return {
+def _cmd_ribbon(args: argparse.Namespace) -> Result:
+    a, b = _braid_pair(args)
+    witness = read_witness(args.witness) if args.witness else None
+    verdict = ribbon_verdict(a, b, args.block_size, args.block_count, witness)
+    if verdict.status != RIBBON:
+        payload = {"verdict": verdict.status, "reason": verdict.reason}
+        return EXIT_UNKNOWN, payload, _fields(payload, "verdict", "reason")
+    cd = verdict.certificate
+    if args.save_witness:
+        write_witness(cd, args.save_witness)
+    cert = {
         "block_size": cd.block_size,
         "block_count": cd.block_count,
         "tubular": format_braid(cd.tubular),
         "interior": [format_braid(w) for w in cd.interior],
         "vertical": [format_braid(w) for w in cd.vertical],
     }
-
-
-def _cmd_ribbon(args: argparse.Namespace) -> int:
-    a, b = _braid_pair(args)
-    witness = read_witness(args.witness) if args.witness else None
-    verdict = ribbon_verdict(a, b, args.block_size, args.block_count, witness)
-    if verdict.status != RIBBON:
-        _emit(
-            args,
-            [f"verdict: {verdict.status}", f"reason: {verdict.reason}"],
-            {"verdict": verdict.status, "reason": verdict.reason},
-        )
-        return EXIT_UNKNOWN
-    cd = verdict.certificate
-    if args.save_witness:
-        write_witness(cd, args.save_witness)
+    checks = [{"status": c.status, "evidence": c.evidence} for c in verdict.cable_checks]
+    payload = {"verdict": RIBBON, "certificate": cert, "cable_checks": checks}
     lines = [
-        "verdict: Ribbon",
+        f"verdict: {RIBBON}",
         f"blocks: {cd.block_size} x {cd.block_count}",
-        f"tubular: {format_braid(cd.tubular)}",
+        f"tubular: {cert['tubular']}",
     ]
-    for j, w in enumerate(cd.interior, 1):
-        lines.append(f"interior{j}: {format_braid(w)}")
-    for j, (w, chk) in enumerate(zip(cd.vertical, verdict.cable_checks), 1):
-        lines.append(f"vertical{j}: {format_braid(w)} ({chk.evidence})")
-    _emit(
-        args,
-        lines,
-        {
-            "verdict": verdict.status,
-            "certificate": _witness_payload(cd),
-            "cable_checks": [
-                {"status": c.status, "evidence": c.evidence}
-                for c in verdict.cable_checks
-            ],
-        },
+    lines.extend(f"interior{j}: {w}" for j, w in enumerate(cert["interior"], 1))
+    lines.extend(
+        f"vertical{j}: {w} ({c['evidence']})"
+        for j, (w, c) in enumerate(zip(cert["vertical"], checks), 1)
     )
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_transform(args: argparse.Namespace) -> Result:
     a, b = _braid_pair(args)
     chart = ChartData(args.degree, a, b)
     out = rho(chart) if args.operation == "rho" else tau(chart)
-    _emit(
-        args,
-        [
-            f"degree: {out.degree}",
-            f"a: {format_braid(out.a)}",
-            f"b: {format_braid(out.b)}",
-        ],
-        {
-            "operation": args.operation,
-            "degree": out.degree,
-            "a": format_braid(out.a),
-            "b": format_braid(out.b),
-        },
-    )
-    return EXIT_OK
+    payload = {
+        "operation": args.operation,
+        "degree": out.degree,
+        "a": format_braid(out.a),
+        "b": format_braid(out.b),
+    }
+    return EXIT_OK, payload, _fields(payload, "degree", "a", "b")
 
 
-def _cmd_h_member(args: argparse.Namespace) -> int:
+def _cmd_h_member(args: argparse.Namespace) -> Result:
     entries = args.matrix.split()
     if len(entries) != 9:
         raise PreconditionError("--matrix expects 9 integers in row order")
@@ -260,12 +200,8 @@ def _cmd_h_member(args: argparse.Namespace) -> int:
         raise PreconditionError(f"--matrix entries must be integers: {exc}")
     rows = tuple(tuple(nums[3 * i : 3 * i + 3]) for i in range(3))
     member = h_membership(rows)
-    _emit(
-        args,
-        ["member" if member else "non-member"],
-        {"matrix": [list(r) for r in rows], "member": member},
-    )
-    return EXIT_OK
+    payload = {"matrix": rows, "member": member}
+    return EXIT_OK, payload, ["member" if member else "non-member"]
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="count homomorphisms onto a finite group")
     p.add_argument("--group", required=True, metavar="NAME",
                    help="target group: S<k>, D<k> or Z<k>")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: counting runs in one process")
     p.set_defaults(func=_cmd_quotients)
 
     p = sub.add_parser("colorings", parents=[pair, js],
@@ -359,7 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code, payload, lines = args.func(args)
+        if args.json:
+            doc = {"schema": SCHEMA, "command": args.command, **payload}
+            lines = [json.dumps(doc, sort_keys=True)]
+        for line in lines:
+            print(line)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -416,17 +416,12 @@ def _generates(images, mult, identity, n) -> bool:
     return len(seen) == n
 
 
-def finite_quotient_count(
-    p: GroupPresentation, group: FiniteGroup, *, workers: int = 1
-) -> QuotientCounts:
+def finite_quotient_count(p: GroupPresentation, group: FiniteGroup) -> QuotientCounts:
     """Count homomorphisms, epimorphisms, and abelian-image homomorphisms.
 
     Exhaustive over all ``size**rank`` generator-image tuples (precondition:
-    at most ``10**8``), in one process.  ``workers`` must be at least 1 and
-    has no other effect; it is kept so that existing callers still work.
+    at most ``10**8``), in one process.
     """
-    if workers < 1:
-        raise PreconditionError("workers must be >= 1")
     g = p.rank
     mult, inv, identity, n = group.mult, group.inverse, group.identity, group.size
     if g == 0:

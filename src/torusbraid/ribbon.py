@@ -489,11 +489,12 @@ def ribbon_verdict(
 ) -> RibbonVerdict:
     """Certify a commuting pair ribbon via a cabling witness, or say ``Unknown``.
 
-    The witness may be supplied; otherwise it is read off by
-    :func:`search_decomposition`, and ``Unknown`` with "no cable
-    decomposition found" means none exists for these blocks.  ``Ribbon``
-    requires the witness to verify and every vertical cable braid to close to
-    an unknot; any undecided sub-check yields ``Unknown``.
+    The witness may be supplied, and is then verified; otherwise it is read
+    off by :func:`search_decomposition`, which returns only a verified one,
+    and ``Unknown`` with "no cable decomposition found" means none exists for
+    these blocks.  ``Ribbon`` requires the witness to verify and every
+    vertical cable braid to close to an unknot; any undecided sub-check
+    yields ``Unknown``.
     """
     if a.degree != n * m or b.degree != n * m:
         raise PreconditionError(
@@ -505,7 +506,7 @@ def ribbon_verdict(
         witness = search_decomposition(a, b, n, m)
         if witness is None:
             return RibbonVerdict(UNKNOWN, None, (), "no cable decomposition found")
-    if not verify_decomposition(a, b, witness):
+    elif not verify_decomposition(a, b, witness):
         return RibbonVerdict(
             UNKNOWN, None, (), "witness fails the reconstruction identities"
         )

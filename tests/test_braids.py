@@ -8,6 +8,7 @@ import time
 import pytest
 
 from torusbraid.braids import (
+    WORD_CAP,
     BraidWord,
     braids_equal,
     cable_lift,
@@ -24,7 +25,7 @@ from torusbraid.braids import (
     permutation,
     word,
 )
-from torusbraid.errors import PreconditionError
+from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 
 
 def test_word_validation():
@@ -64,6 +65,24 @@ def test_parse_powers_and_half_twist():
     assert parse_braid("D", 4) == garside_delta(4)
     assert parse_braid("D^2", 4) == garside_delta(4) ** 2
     assert parse_braid("D^-1 1", 3) == garside_delta(3).inverse() * word(3, [1])
+
+
+@pytest.mark.parametrize("text, degree, size", [
+    ("s1^10000000000", 2, 10**10),
+    ("1 -1^-10000000000", 2, 10**10 + 1),
+    ("D^10000000000", 4, 6 * 10**10),
+    ("((1 2)^1000)^10000000", 3, 2 * 10**10),
+    ("(1)^600000 (2)^600000", 3, 1_200_000),
+])
+def test_parse_rejects_words_past_the_cap_before_building_them(text, degree, size):
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded, match=f"reaches {size} letters"):
+        parse_braid(text, degree)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_accepts_a_word_at_the_cap():
+    assert len(parse_braid(f"s1^{WORD_CAP}", 2).letters) == WORD_CAP
 
 
 def test_format_round_trip():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,136 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+PAIR4 = ["-m", "4", "-a", "1 2 2 2 3", "-b", "(1 2 3)^4"]
+RIBBON22 = ["--block-size", "2", "--block-count", "2"]
+
+# Every output branch of every subcommand, byte for byte: argv, exit code,
+# text stdout, --json stdout, and stderr (the same in both modes).
+GOLDEN = [
+    pytest.param(
+        ["group", "-m", "2", "-a", "1 1 1", "-b", ""], 0,
+        "< x1, x2 | x2 x1 x2 x1^-1 x2^-1 x1^-1, x2^-1 x1 x2 x1 x2^-1 x1^-1 >\n",
+        '{"command": "group", "degree": 2, "generators": ["x1", "x2"], '
+        '"relators": ["x2 x1 x2 x1^-1 x2^-1 x1^-1", "x2^-1 x1 x2 x1 x2^-1 x1^-1"], '
+        '"schema": "torusbraid.v1"}\n',
+        "", id="group",
+    ),
+    pytest.param(
+        ["group", "-m", "4", "-a", "1 3", "-b", "D^2", "--simplify"], 0,
+        "< x1, x3 | x1 x3^2 x1 x3^-2 x1^-2, x3^-1 x1^2 x3 x1^-2 >\n",
+        '{"command": "group", "degree": 4, "generators": ["x1", "x3"], '
+        '"relators": ["x1 x2^2 x1 x2^-2 x1^-2", "x2^-1 x1^2 x2 x1^-2"], '
+        '"schema": "torusbraid.v1"}\n',
+        "", id="group-simplify",
+    ),
+    pytest.param(
+        ["abelianization", "-m", "4", "-a", "1 3", "-b", "D^4"], 0,
+        "Z^2\n",
+        '{"command": "abelianization", "degree": 4, "quotient_center": false, '
+        '"rank": 2, "schema": "torusbraid.v1", "torsion": []}\n',
+        "", id="abelianization",
+    ),
+    pytest.param(
+        ["abelianization", "-m", "4", "-a", "1 3", "-b", "D^4", "--quotient-center"], 0,
+        "Z + Z/4\n",
+        '{"command": "abelianization", "degree": 4, "quotient_center": true, '
+        '"rank": 1, "schema": "torusbraid.v1", "torsion": [4]}\n',
+        "", id="abelianization-quotient-center",
+    ),
+    pytest.param(
+        ["quotients", "-m", "2", "-a", "1 1 1", "-b", "", "--group", "S3"], 0,
+        "group: S3\nhomomorphisms: 12\nepimorphisms: 6\nabelian image: 6\n",
+        '{"abelian_image": 6, "command": "quotients", "degree": 2, "epimorphisms": 6, '
+        '"group": "S3", "homomorphisms": 12, "schema": "torusbraid.v1"}\n',
+        "", id="quotients",
+    ),
+    pytest.param(
+        ["colorings", *PAIR4], 0,
+        "quandle: dihedral 3\ncolorings: 9\n0 0 0 0\n0 0 1 1\n0 0 2 2\n1 1 0 0\n"
+        "1 1 1 1\n1 1 2 2\n2 2 0 0\n2 2 1 1\n2 2 2 2\n",
+        '{"colorings": [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2], [1, 1, 0, 0], '
+        '[1, 1, 1, 1], [1, 1, 2, 2], [2, 2, 0, 0], [2, 2, 1, 1], [2, 2, 2, 2]], '
+        '"command": "colorings", "count": 9, "degree": 4, "quandle": 3, '
+        '"schema": "torusbraid.v1"}\n',
+        "", id="colorings",
+    ),
+    pytest.param(
+        ["cocycle", *PAIR4], 0,
+        "3 + 6t^2\ncoefficients: 3 0 6\n",
+        '{"coefficients": [3, 0, 6], "command": "cocycle", "degree": 4, '
+        '"schema": "torusbraid.v1"}\n',
+        "", id="cocycle",
+    ),
+    pytest.param(
+        ["cocycle", "-m", "4", "-a", "-1 -2 -2 -2 -3", "-b", "(-1 -2 -3)^4"], 0,
+        "3 + 6t\ncoefficients: 3 6 0\n",
+        '{"coefficients": [3, 6, 0], "command": "cocycle", "degree": 4, '
+        '"schema": "torusbraid.v1"}\n',
+        "", id="cocycle-mirror",
+    ),
+    pytest.param(
+        ["ribbon", "-m", "4", "-a", "1 3", "-b", "D^2", *RIBBON22], 0,
+        "verdict: Ribbon\nblocks: 2 x 2\ntubular: 1 1\ninterior1: 1 1\ninterior2: 1 1\n"
+        "vertical1: 1 (destabilizes to the braid on one strand)\n"
+        "vertical2: 1 (destabilizes to the braid on one strand)\n",
+        '{"cable_checks": [{"evidence": "destabilizes to the braid on one strand", '
+        '"status": "Unknot"}, {"evidence": "destabilizes to the braid on one strand", '
+        '"status": "Unknot"}], "certificate": {"block_count": 2, "block_size": 2, '
+        '"interior": ["1 1", "1 1"], "tubular": "1 1", "vertical": ["1", "1"]}, '
+        '"command": "ribbon", "schema": "torusbraid.v1", "verdict": "Ribbon"}\n',
+        "", id="ribbon",
+    ),
+    pytest.param(
+        ["ribbon", "-m", "4", "-a", "2 2", "-b", "D^2", *RIBBON22], 3,
+        "verdict: Unknown\nreason: no cable decomposition found\n",
+        '{"command": "ribbon", "reason": "no cable decomposition found", '
+        '"schema": "torusbraid.v1", "verdict": "Unknown"}\n',
+        "", id="ribbon-unknown",
+    ),
+    pytest.param(
+        ["transform", "-m", "2", "-a", "1 1 1", "-b", "", "rho"], 0,
+        "degree: 2\na: e\nb: 1 1 1\n",
+        '{"a": "e", "b": "1 1 1", "command": "transform", "degree": 2, '
+        '"operation": "rho", "schema": "torusbraid.v1"}\n',
+        "", id="transform-rho",
+    ),
+    pytest.param(
+        ["transform", "-m", "2", "-a", "1 1 1", "-b", "", "tau"], 0,
+        "degree: 2\na: 1 1 1\nb: 1 1 1\n",
+        '{"a": "1 1 1", "b": "1 1 1", "command": "transform", "degree": 2, '
+        '"operation": "tau", "schema": "torusbraid.v1"}\n',
+        "", id="transform-tau",
+    ),
+    pytest.param(
+        ["h-member", "--matrix", "1 0 0 0 0 -1 0 1 0"], 0,
+        "member\n",
+        '{"command": "h-member", "matrix": [[1, 0, 0], [0, 0, -1], [0, 1, 0]], '
+        '"member": true, "schema": "torusbraid.v1"}\n',
+        "", id="h-member",
+    ),
+    pytest.param(
+        ["h-member", "--matrix", "1 0 0 0 1 1 0 0 1"], 0,
+        "non-member\n",
+        '{"command": "h-member", "matrix": [[1, 0, 0], [0, 1, 1], [0, 0, 1]], '
+        '"member": false, "schema": "torusbraid.v1"}\n',
+        "", id="h-non-member",
+    ),
+    pytest.param(
+        ["group", "-m", "3", "-a", "1", "-b", "2"], 2,
+        "",
+        "",
+        "error: the two braids do not commute, so they do not define a link\n",
+        id="noncommuting",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, doc, err", GOLDEN)
+def test_golden_output(capsys, argv, code, text, doc, err):
+    assert run(capsys, *argv) == (code, text, err)
+    assert run(capsys, *argv, "--json") == (code, doc, err)
 
 
 def test_cocycle_example(capsys):
@@ -98,16 +229,31 @@ def test_colorings_output(capsys):
     assert len(lines) == 11
 
 
-def test_quotients_worker_independent(capsys):
-    base = run(capsys, "quotients", "-m", "2", "-a", "1 1 1", "-b", "", "--group", "S3")
-    multi = run(
-        capsys, "quotients", "-m", "2", "-a", "1 1 1", "-b", "", "--group", "S3",
-        "--workers", "3",
-    )
-    assert base[0] == 0 and multi[0] == 0
-    assert base[1] == multi[1]
-    assert "homomorphisms: 12" in base[1]
-    assert "epimorphisms: 6" in base[1]
+def test_group_json_relators_name_generators_by_position(capsys):
+    argv = ["group", "-m", "4", "-a", "1 3", "-b", "D^2", "--simplify"]
+    _, text, _ = run(capsys, *argv)
+    _, out, _ = run(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert doc["generators"] == ["x1", "x3"]
+    assert doc["relators"] == ["x1 x2^2 x1 x2^-2 x1^-2", "x2^-1 x1^2 x2 x1^-2"]
+    # xk in a JSON relator is generators[k-1]; so renamed, they are the text relators
+    named = [re.sub(r"x(\d+)", lambda t: doc["generators"][int(t[1]) - 1], r)
+             for r in doc["relators"]]
+    assert text == f"< x1, x3 | {', '.join(named)} >\n"
+
+
+def test_workers_option_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["quotients", "-m", "2", "-a", "1 1 1", "-b", "", "--group", "S3",
+              "--workers", "3"])
+    assert exc.value.code == 2
+
+
+def test_word_past_the_cap_exits_3(capsys):
+    code, out, err = run(capsys, "colorings", "-m", "2", "-a", "s1^10000000000", "-b", "")
+    assert code == 3
+    assert out == ""
+    assert err == "undecided: braid word reaches 10000000000 letters, over the cap of 1000000\n"
 
 
 def test_quotients_rejects_unknown_group(capsys):

@@ -11,7 +11,6 @@ from torusbraid.braids import BraidWord, garside_delta, word
 from torusbraid.errors import PreconditionError
 from torusbraid.presentations import (
     AbelianInvariants,
-    GroupPresentation,
     abelianization,
     add_relator,
     central_twist_relator,
@@ -181,20 +180,6 @@ def test_trefoil_quotient_counts_frozen():
     assert (c.homomorphisms, c.epimorphisms, c.abelian_image) == (8, 0, 8)
     c = finite_quotient_count(p, cyclic_group(5))
     assert (c.homomorphisms, c.epimorphisms, c.abelian_image) == (5, 4, 5)
-
-
-def test_worker_counts_agree():
-    p = tietze_eliminate(torus_covering_group(*SPUN_TREFOIL))
-    base = finite_quotient_count(p, symmetric_group(3), workers=1)
-    for workers in (2, 3):
-        assert finite_quotient_count(p, symmetric_group(3), workers=workers) == base
-
-
-def test_worker_count_below_one_rejected():
-    p = tietze_eliminate(torus_covering_group(*SPUN_TREFOIL))
-    for q in (p, GroupPresentation((), ())):  # rank 0 returns early
-        with pytest.raises(PreconditionError, match="workers"):
-            finite_quotient_count(q, symmetric_group(3), workers=0)
 
 
 def test_cyclic_hom_count_matches_enumeration():

@@ -7,6 +7,7 @@ from collections import deque
 
 import pytest
 
+from torusbraid import ribbon
 from torusbraid.braids import (
     BraidWord,
     braids_equal,
@@ -391,6 +392,27 @@ def test_ribbon_unknown_with_knotted_cable():
     v = ribbon_verdict(a, b, 2, 2, witness)
     assert v.status == "Unknown"
     assert "not certified unknotted" in v.reason
+
+
+def test_ribbon_verdict_verifies_each_witness_once(monkeypatch):
+    calls = []
+
+    def counting_verify(*args):
+        calls.append(args)
+        return verify_decomposition(*args)
+
+    monkeypatch.setattr(ribbon, "verify_decomposition", counting_verify)
+    a, b = word(4, [1, 3]), garside_delta(4) ** 2
+    tampered = CableDecomposition(
+        2, 2, word(2, [1, 1]), (word(2, [1]), word(2, [1, 1])), (word(2, [1]),) * 2
+    )
+    for witness, status in ((None, "Ribbon"), (_example_witness(), "Ribbon"),
+                            (tampered, "Unknown")):
+        calls.clear()
+        v = ribbon_verdict(a, b, 2, 2, witness)
+        assert v.status == status
+        assert len(calls) == 1
+    assert v.reason == "witness fails the reconstruction identities"
 
 
 def test_ribbon_requires_commuting():
