@@ -20,8 +20,17 @@ unique expression ``Delta^p F_1 ... F_k`` where each ``F_t`` is a nontrivial
 permutation braid, no ``F_t`` is ``Delta``, and each adjacent pair is
 left-weighted (every generator dividing ``F_{t+1}`` on the left already divides
 ``F_t`` on the right).  Two words are equal in B_m iff their normal forms
-coincide, which makes the word problem at degree <= 8 and length <= 200 a
-millisecond affair without tabulating symmetric groups.
+coincide.
+
+The normal form is built incrementally (Epstein et al., *Word Processing in
+Groups*, 1992, ch. 9; El-Rifai and Morton, *Algorithms for positive braids*,
+1994).  The word is read as ``Delta^-r Y_1 ... Y_n`` with one
+permutation-braid factor per letter: ``sigma_i``, or ``Delta sigma_i^-1`` for
+a negative letter, conjugated by ``Delta`` once for each negative letter to
+its right.  Each ``Y_j`` is appended to the left-weighted normal form of
+``Y_1 ... Y_{j-1}`` by a single right-to-left pass of left-weighting adjacent
+pairs, which stops at the first pair that does not move.  Pairs repeat within
+one word, so a call memoizes them.
 """
 
 from __future__ import annotations
@@ -163,11 +172,7 @@ def parse_braid(text: str, degree: int) -> BraidWord:
                     pos += 1
             else:
                 base, power = _parse_token(tok, degree)
-            size = len(out) + len(base) * abs(power)
-            if size > WORD_CAP:
-                raise SearchBudgetExceeded(
-                    f"braid word reaches {size} letters, over the cap of {WORD_CAP}"
-                )
+            _check_cap(len(out) + len(base) * abs(power))
             out.extend(_word_power(base, power))
         if depth != 0:
             raise PreconditionError("unbalanced '(' in braid word")
@@ -175,6 +180,13 @@ def parse_braid(text: str, degree: int) -> BraidWord:
 
     letters = parse_seq(0)
     return BraidWord(degree, tuple(letters))
+
+
+def _check_cap(size: int) -> None:
+    if size > WORD_CAP:
+        raise SearchBudgetExceeded(
+            f"braid word reaches {size} letters, over the cap of {WORD_CAP}"
+        )
 
 
 def _parse_power(tok: str) -> int:
@@ -202,7 +214,9 @@ def _parse_token(tok: str, degree: int) -> tuple[list[Letter], int]:
         except ValueError:
             raise PreconditionError(f"bad power in token {tok!r}") from None
     if base in ("D", "d"):
-        return list(garside_delta(degree).letters), power
+        # Delta has m(m-1)/2 letters: check before building it
+        _check_cap(degree * (degree - 1) // 2 * abs(power))
+        return (list(garside_delta(degree).letters) if power else []), power
     if base in ("e", "E"):
         return [], power
     if base.startswith("s"):
@@ -254,18 +268,6 @@ def _transposition(m: int, i: int) -> Perm:
 def _compose(u: Perm, v: Perm) -> Perm:
     """u then v: the strand starting at i ends at v(u(i))."""
     return tuple(v[x - 1] for x in u)
-
-
-def _invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x - 1] = i + 1
-    return tuple(out)
-
-
-def _flip(p: Perm, m: int) -> Perm:
-    """Conjugation by the half twist: tau(w)(i) = m+1 - w(m+1-i)."""
-    return tuple(m + 1 - p[m - 1 - i] for i in range(m))
 
 
 def permutation(w: BraidWord) -> Perm:
@@ -324,29 +326,38 @@ class NormalForm:
         return not self.factors
 
 
-def _left_weight_pair(A: Perm, B: Perm, m: int) -> tuple[Perm, Perm, bool]:
-    """Slide generators from B into A until (A, B) is left-weighted."""
+def _left_weight_pair(A: Perm, B: Perm) -> tuple[Perm, Perm]:
+    """``(A*C, C^-1*B)`` with ``C`` the left gcd of ``A``'s right complement
+    and ``B``: the left-weighted pair with the same product.
+
+    ``sigma_i`` moves from ``B`` into ``A`` while it divides ``B`` on the left
+    (a descent of ``B`` at ``i``) but not ``A`` on the right (no descent of
+    ``A``'s inverse at ``i``).  A move swaps two entries of each list, which
+    can only make ``i-1`` or ``i+1`` movable.  Positions are scanned from
+    ``m-1`` down, so ``i-1`` is still to come, and after moves at ``i`` and
+    ``i+1`` position ``i`` could move again only if ``i+1`` could have moved
+    before them, which the scan has already ruled out.  So each scan step
+    follows its moves upward only, and a call costs O(m + moves).
+    """
+    m = len(A)
+    inv = [0] * m
+    for pos, x in enumerate(A):
+        inv[x - 1] = pos + 1
+    b = list(B)
     moved = False
-    while True:
-        invA = _invert(A)
-        target = 0
-        for i in range(1, m):
-            if B[i - 1] > B[i] and invA[i - 1] < invA[i]:
-                target = i
-                break
-        if not target:
-            return A, B, moved
-        i = target
-        # A := A * sigma_i  (swap the values i, i+1 inside A)
-        a = list(A)
-        qa, qb = a.index(i), a.index(i + 1)
-        a[qa], a[qb] = i + 1, i
-        A = tuple(a)
-        # B := sigma_i^-1 * B  (swap positions i, i+1 of B)
-        b = list(B)
-        b[i - 1], b[i] = b[i], b[i - 1]
-        B = tuple(b)
-        moved = True
+    for start in range(m - 1, 0, -1):
+        i = start
+        while i < m and b[i - 1] > b[i] and inv[i - 1] < inv[i]:
+            inv[i - 1], inv[i] = inv[i], inv[i - 1]
+            b[i - 1], b[i] = b[i], b[i - 1]
+            moved = True
+            i += 1
+    if not moved:
+        return A, B
+    a = [0] * m
+    for x, pos in enumerate(inv):
+        a[pos - 1] = x + 1
+    return tuple(a), tuple(b)
 
 
 def normal_form(w: BraidWord) -> NormalForm:
@@ -356,38 +367,44 @@ def normal_form(w: BraidWord) -> NormalForm:
         return NormalForm(1, 0, ())
     ident = identity_perm(m)
     w0: Perm = tuple(range(m, 0, -1))  # the half-twist permutation i -> m+1-i
-    inf = 0
+    # w = Delta^-r Y_1 ... Y_n: sigma_i^-1 = Delta^-1 (Delta sigma_i^-1), and
+    # moving that Delta^-1 to the front conjugates every factor to its left by
+    # the half twist, which sends sigma_i to sigma_(m-i).
+    r = sum(1 for _, s in w.letters if s < 0)
+    right = r  # negative letters from the current one to the end
     factors: list[Perm] = []
+    memo: dict[tuple[Perm, Perm], tuple[Perm, Perm]] = {}
     for i, s in w.letters:
-        if s > 0:
-            factors.append(_transposition(m, i))
-        else:
-            # w * sigma_i^-1 = (w Delta^-1) * (Delta sigma_i^-1); pushing the
-            # Delta^-1 through the factors conjugates each by the half twist.
-            inf -= 1
-            factors = [_flip(f, m) for f in factors]
-            factors.append(_compose(w0, _transposition(m, i)))
-    # identity factors arise from Delta*sigma_i^-1 at degree 2; drop them
-    factors = [f for f in factors if f != ident]
-    # sweep adjacent pairs to the left-weighted fixpoint
-    changed = True
-    while changed:
-        changed = False
-        j = 0
-        while j < len(factors) - 1:
-            A, B, moved = _left_weight_pair(factors[j], factors[j + 1], m)
-            if moved:
-                changed = True
-                if B == ident:
-                    factors[j] = A
-                    del factors[j + 1]
-                else:
-                    factors[j], factors[j + 1] = A, B
-            j += 1
-    while factors and factors[0] == w0:
-        del factors[0]
-        inf += 1
-    return NormalForm(m, inf, tuple(factors))
+        if s < 0:
+            right -= 1
+        y = _transposition(m, m - i if right % 2 else i)
+        if s < 0:
+            y = _compose(w0, y)
+            if y == ident:  # Delta*sigma_1^-1 at degree 2
+                continue
+        # append Y_j to the left-weighted prefix with one right-to-left pass,
+        # which stops at the first pair that does not move
+        factors.append(y)
+        j = len(factors) - 1
+        while j:
+            pair = (factors[j - 1], factors[j])
+            out = memo.get(pair)
+            if out is None:
+                out = memo[pair] = _left_weight_pair(*pair)
+            A, B = out
+            if A == pair[0]:
+                break
+            factors[j - 1] = A
+            if B == ident:  # only the last factor can be absorbed
+                del factors[j]
+            else:
+                factors[j] = B
+            j -= 1
+    # Delta factors gather at the front of a left-weighted sequence
+    lead = 0
+    while lead < len(factors) and factors[lead] == w0:
+        lead += 1
+    return NormalForm(m, lead - r, tuple(factors[lead:]))
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:

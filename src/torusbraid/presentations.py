@@ -32,7 +32,7 @@ from .artin import (
     generator,
 )
 from .braids import BraidWord, commute_check, normal_form
-from .errors import PreconditionError
+from .errors import PreconditionError, SearchBudgetExceeded
 
 TUPLE_CAP = 10**8
 
@@ -419,8 +419,9 @@ def _generates(images, mult, identity, n) -> bool:
 def finite_quotient_count(p: GroupPresentation, group: FiniteGroup) -> QuotientCounts:
     """Count homomorphisms, epimorphisms, and abelian-image homomorphisms.
 
-    Exhaustive over all ``size**rank`` generator-image tuples (precondition:
-    at most ``10**8``), in one process.
+    Exhaustive over all ``size**rank`` generator-image tuples, in one
+    process.  More than ``TUPLE_CAP`` tuples raises
+    :class:`SearchBudgetExceeded` before any is tried.
     """
     g = p.rank
     mult, inv, identity, n = group.mult, group.inverse, group.identity, group.size
@@ -428,7 +429,7 @@ def finite_quotient_count(p: GroupPresentation, group: FiniteGroup) -> QuotientC
         epi = 1 if n == 1 else 0
         return QuotientCounts(1, epi, 1)
     if n**g > TUPLE_CAP:
-        raise PreconditionError(
+        raise SearchBudgetExceeded(
             f"enumeration of {n}^{g} tuples exceeds the cap of {TUPLE_CAP}"
         )
     relators = tuple(r.letters for r in p.relators)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -254,6 +255,20 @@ def test_word_past_the_cap_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert err == "undecided: braid word reaches 10000000000 letters, over the cap of 1000000\n"
+
+
+def test_half_twist_past_the_cap_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "group", "-m", "100000", "-a", "D", "-b", "")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "undecided: braid word reaches 4999950000 letters, over the cap of 1000000\n"
+
+
+def test_quotient_tuples_past_the_cap_exit_3(capsys):
+    code, out, err = run(capsys, "quotients", "-m", "6", "-a", "", "-b", "", "--group", "S4")
+    assert (code, out) == (3, "")
+    assert err == "undecided: enumeration of 24^6 tuples exceeds the cap of 100000000\n"
 
 
 def test_quotients_rejects_unknown_group(capsys):
