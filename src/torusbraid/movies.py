@@ -21,20 +21,19 @@ letters meeting) leave the word unchanged; generated movies record them as an
 InsertPair immediately followed by the CancelPair that undoes it, purely as a
 bookkeeping trace of the event.
 
-:func:`slide_movie` generates a movie by sliding the letters of ``a`` through
-``b`` one at a time, rightmost first.  The generator is exact for the families
-where such movies are known: ``b`` a literal power of the cycling word
-``delta = s1 s2 .. s_{m-1}``, or of a single generator, or empty; otherwise it
-falls back to a budgeted breadth-first search per letter and reports failure
-honestly.  A letter of ``a`` that does not commute with ``b`` admits no
-per-letter slide at all and raises a generation error naming the letter.
+:func:`slide_movie` slides the letters of ``a`` through ``b`` one at a time,
+rightmost first, in closed form when each letter of ``b`` equals the slider (a
+reconnection) or is far from it (a far swap), or when ``b`` or its reversal is
+a literal power of ``delta = s1 s2 .. s_{m-1}`` or of the half twist ``Delta``.
+Letters that emerge changed, as through an odd power of Delta, are put back in
+order by a bounded search.  Any other letter gets a bounded search of its own,
+and a letter that does not commute with ``b`` raises a generation error.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, replace
 from typing import Union
 
 from .braids import (
@@ -42,6 +41,7 @@ from .braids import (
     Letter,
     commute_check,
     format_braid,
+    garside_delta,
     parse_braid,
     word,
 )
@@ -182,75 +182,86 @@ def validate_movie(movie: ChartMovie) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _delta_power(letters: tuple[Letter, ...], m: int) -> int | None:
-    """If ``letters`` is literally (s1 .. s_{m-1})^r with r >= 1, return r."""
-    period = [(i, 1) for i in range(1, m)]
-    if m < 2 or not letters or len(letters) % len(period):
-        return None
-    r = len(letters) // len(period)
-    return r if list(letters) == period * r else None
+def _power_of(letters: tuple[Letter, ...], period: tuple[Letter, ...]) -> int:
+    """The r with ``letters == period * r``, or 0 if there is none."""
+    r = len(letters) // len(period) if period else 0
+    return r if r and letters == period * r else 0
 
 
-def _uniform_power(letters: tuple[Letter, ...]) -> tuple[int, int, int] | None:
-    """If all letters equal (j, s), return (j, s, count)."""
-    if not letters:
-        return None
-    j, s = letters[0]
-    if all(let == (j, s) for let in letters):
-        return j, s, len(letters)
-    return None
+def _periods(letters: tuple[Letter, ...], m: int) -> list[int]:
+    """Lengths p of the periods ``s1 .. s_{p-1}`` of a literal power of
+    ``delta = s1 .. s_{m-1}`` (p = m) or of ``Delta = delta_m delta_{m-1} ..
+    delta_1`` (p = m, m-1, .., 1); empty for any other word."""
+    r = _power_of(letters, tuple((i, 1) for i in range(1, m)))
+    k = _power_of(letters, garside_delta(m).letters)
+    return [m] * r or list(range(m, 0, -1)) * k
 
 
-def _reconnect(s: int, index: int, sign: int) -> list[Step]:
+def _reconnect(s: int, index: int) -> list[Step]:
     """Bookkeeping trace of two same-letter strands meeting at position s."""
-    return [InsertPair(s + 1, index, -sign), CancelPair(s)]
+    return [InsertPair(s + 1, index, -1), CancelPair(s)]
 
 
-def _descend(s: int, cur: int, m: int) -> list[Step]:
-    """Slide ``s_cur`` (cur >= 2) through one delta period; slider index s.
+def _descend(s: int, cur: int, p: int) -> list[Step]:
+    """Slide ``s_cur`` (2 <= cur < p) through one period ``s1 .. s_{p-1}``.
 
     The slider far-swaps past s1 .. s_{cur-2}, crosses the period's own
     ``s_{cur-1} s_cur`` in a single negative triple point, and the freed
-    ``s_{cur-1}`` far-swaps out past s_{cur+1} .. s_{m-1}.  Net effect:
-    ``s_cur delta = delta s_{cur-1}``, slider advances m-1 positions.
+    ``s_{cur-1}`` far-swaps out past s_{cur+1} .. s_{p-1}.  Net effect:
+    ``s_cur delta_p = delta_p s_{cur-1}``, slider advances p-1 positions.
     """
     steps: list[Step] = [FarSwap(s + t) for t in range(cur - 2)]
     steps.append(R3(s + cur - 2, -1))
-    steps.extend(FarSwap(s + cur + t) for t in range(m - 1 - cur))
+    steps.extend(FarSwap(s + cur + t) for t in range(p - 1 - cur))
     return steps
 
 
-def _climb(s: int, m: int) -> list[Step]:
-    """Slide ``s1`` through two delta periods, emerging as ``s_{m-1}``.
+def _climb(s: int, p: int) -> list[Step]:
+    """Slide ``s1`` through ``s1 .. s_{p-1}`` and ``s1 .. s_{q-1}`` (q = p or
+    p-1), emerging as ``s_{p-1}``.
 
-    Starts with a reconnection against the first period's own s1, then climbs
-    one index per positive triple point along a searched minimal-triple-point
-    path.
+    After the reconnection with the first period's s1, each s_j of the second
+    period (j = 1 .. p-2) far-swaps left to follow the first period's
+    s_{j+1}; the slider then climbs one index per positive triple point, and
+    the second period's letters far-swap back out: p-2 triple points and
+    (p-2)(p-3) far swaps.
     """
-    return _reconnect(s, 1, 1) + [_shift_step(st, s) for st in _climb_path(m)]
+    steps = _reconnect(s, 1)
+    for j in range(1, p - 1):
+        steps.extend(FarSwap(s + x) for x in range(p - 2 + j, 2 * j, -1))
+    steps.extend(R3(s + 2 * j - 1, 1) for j in range(1, p - 1))
+    for j in range(p - 2, 0, -1):
+        steps.extend(FarSwap(s + x) for x in range(2 * j, p - 2 + j))
+    return steps
 
 
-@cache
-def _climb_path(m: int) -> tuple[Step, ...]:
-    """The searched part of :func:`_climb` at offset 0; it depends on m alone."""
-    start = [(1, 1)] + [(i, 1) for i in range(1, m)] * 2
-    goal = [(i, 1) for i in range(1, m)] * 2 + [(m - 1, 1)]
-    path = _word_path(start, goal, budget=200_000)
-    if path is None:
-        raise MovieGenerationError(
-            f"no rewriting found for s1 through delta^2 at degree {m}"
-        )
-    return tuple(path)
+def _through_periods(s: int, c: int, periods: list[int]) -> tuple[list[Step], int]:
+    """Slide ``s_c`` through consecutive periods ``s1 .. s_{p-1}``, one per p.
 
-
-def _shift_step(step: Step, offset: int) -> Step:
-    if isinstance(step, FarSwap):
-        return FarSwap(step.pos + offset)
-    if isinstance(step, R3):
-        return R3(step.pos + offset, step.sign)
-    if isinstance(step, CancelPair):
-        return CancelPair(step.pos + offset)
-    return InsertPair(step.pos + offset, step.index, step.sign)
+    Returns the steps and the index e of the emerging letter.  Below a period
+    the slider descends, at label 1 it climbs this period and the next, and
+    above a period (c > p) it far-swaps past it.  So ``s_c delta^m = delta^m
+    s_c`` and ``s_c Delta = Delta s_{m-c}``.
+    """
+    steps: list[Step] = []
+    t = 0
+    while t < len(periods):
+        p = periods[t]
+        if c == 1:
+            if t + 1 == len(periods):
+                raise MovieGenerationError(
+                    f"s1 reaches the last period s1 .. s{p - 1} of the second "
+                    f"word alone and cannot cross it"
+                )
+            steps.extend(_climb(s, p))
+            s, c, t = s + p + periods[t + 1] - 2, p - 1, t + 2
+        elif c < p:
+            steps.extend(_descend(s, c, p))
+            s, c, t = s + p - 1, c - 1, t + 1
+        else:
+            steps.extend(FarSwap(s + x) for x in range(p - 1))
+            s, t = s + p - 1, t + 1
+    return steps, c
 
 
 def _word_path(
@@ -319,72 +330,55 @@ def _word_path(
 
 
 def _slide_one_letter(
-    c: int, b: BraidWord, m: int, offset: int
-) -> list[Step]:
-    """Steps turning ``s_c b`` into ``b s_c`` (positive letters), at offset."""
+    c: int, b: BraidWord, periods: list[int], s: int
+) -> tuple[list[Step], int]:
+    """Steps turning ``s_c b`` into ``b s_e`` at offset s (positive letters).
+
+    Returns the steps and e, the index the letter emerges with: c, except
+    through periods that do not return it (an odd power of Delta gives m-c).
+    """
     letters = b.letters
-    if not letters:
-        return []
-    r = _delta_power(letters, m)
-    if r is not None and m >= 3:
-        if r % m:
-            raise MovieGenerationError(
-                f"s{c} does not commute with delta^{r} at degree {m} "
-                f"(power must be a multiple of {m})"
-            )
+    if all(i == c or abs(i - c) >= 2 for i, _ in letters):
         steps: list[Step] = []
-        s = offset
-        cur = c
-        periods = r
-        while periods:
-            if cur >= 2:
-                steps.extend(_descend(s, cur, m))
-                s += m - 1
-                cur -= 1
-                periods -= 1
-            else:
-                if periods < 2:
-                    raise MovieGenerationError(
-                        f"slide of s{c} cannot close its journey "
-                        f"(one delta period left at label 1)"
-                    )
-                steps.extend(_climb(s, m))
-                s += 2 * (m - 1)
-                cur = m - 1
-                periods -= 2
-        if cur != c:  # pragma: no cover - impossible when r % m == 0
-            raise MovieGenerationError("slide journey ended on a wrong label")
-        return steps
-    uni = _uniform_power(letters)
-    if uni is not None:
-        j, sgn, r = uni
-        if c == j:
-            steps = []
-            s = offset
-            for _ in range(r):
-                steps.extend(_reconnect(s, c, sgn))
-                s += 1
-            return steps
-        if abs(c - j) >= 2:
-            return [FarSwap(offset + t) for t in range(r)]
-        raise MovieGenerationError(
-            f"s{c} does not commute with a power of s{j}"
-        )
+        for t, (i, _) in enumerate(letters):
+            steps.extend(_reconnect(s + t, c) if i == c else [FarSwap(s + t)])
+        return steps, c
+    if periods:
+        return _through_periods(s, c, periods)
     # general fallback: bounded search for this letter alone
-    if not commute_check(word(m, [c]), b):
+    if not commute_check(word(b.degree, [c]), b):
         raise MovieGenerationError(
             f"letter s{c} does not commute with the second word; "
             f"per-letter sliding does not apply to this pair"
         )
-    start = [(c, 1)] + list(letters)
-    goal = list(letters) + [(c, 1)]
-    path = _word_path(start, goal, budget=50_000)
+    path = _word_path([(c, 1), *letters], [*letters, (c, 1)], budget=50_000)
     if path is None:
         raise MovieGenerationError(
             f"no far-swap/triple-point rewriting found for s{c} through "
             f"the second word (insertions would be required)"
         )
-    return [_shift_step(st, offset) for st in path]
+    return [replace(st, pos=st.pos + s) for st in path], c
+
+
+def _reversed(movie: ChartMovie) -> list[Step]:
+    """The movie of ``(rev(a), rev(b))``: ``movie`` on reversed words, read
+    backwards.  Triple points change sign, and insertions and cancellations
+    trade places."""
+    letters = list(movie.start_word)
+    out: list[Step] = []
+    for st in movie.steps:
+        n = len(letters)
+        if isinstance(st, FarSwap):
+            out.append(FarSwap(n - 2 - st.pos))
+        elif isinstance(st, R3):
+            out.append(R3(n - 3 - st.pos, -st.sign))
+        elif isinstance(st, InsertPair):
+            out.append(CancelPair(n - st.pos))
+        else:
+            i, sign = letters[st.pos]
+            out.append(InsertPair(n - 2 - st.pos, i, -sign))
+        apply_step(letters, st)
+    return out[::-1]
 
 
 def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
@@ -409,17 +403,28 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
         raise MovieGenerationError(
             "mixed-sign pairs are not supported by the slide generator"
         )
+    m = a.degree
+    periods = _periods(b.letters, m)
     if signs == {-1}:
         positive = slide_movie(*mirror_chart(a, b))
-        steps = tuple(_mirror_step(st) for st in positive.steps)
-        movie = ChartMovie(a.degree, a, b, steps)
-        validate_movie(movie)
-        return movie
-    steps = []
-    for k in range(len(a.letters) - 1, -1, -1):
-        c = a.letters[k][0]
-        steps.extend(_slide_one_letter(c, b, a.degree, offset=k))
-    movie = ChartMovie(a.degree, a, b, tuple(steps))
+        steps = [
+            st if isinstance(st, (FarSwap, CancelPair)) else replace(st, sign=-st.sign)
+            for st in positive.steps
+        ]
+    elif not periods and _periods(b.letters[::-1], m):
+        steps = _reversed(slide_movie(a.reverse(), b.reverse()))
+    else:
+        steps, emerged = [], list(a.letters)
+        for k in range(len(a.letters) - 1, -1, -1):
+            st, e = _slide_one_letter(a.letters[k][0], b, periods, k)
+            steps.extend(st)
+            emerged[k] = (e, 1)
+        if emerged != list(a.letters):
+            # b (emerged) = a b = b a, so the emerged word equals a as a
+            # positive braid and far swaps and triple points join the two
+            path = _word_path(emerged, list(a.letters), budget=50_000) or []
+            steps.extend(replace(st, pos=st.pos + len(b.letters)) for st in path)
+    movie = ChartMovie(m, a, b, tuple(steps))
     validate_movie(movie)
     return movie
 
@@ -430,14 +435,6 @@ def mirror_chart(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord]:
         BraidWord(a.degree, tuple((i, -s) for i, s in a.letters)),
         BraidWord(b.degree, tuple((i, -s) for i, s in b.letters)),
     )
-
-
-def _mirror_step(step: Step) -> Step:
-    if isinstance(step, R3):
-        return R3(step.pos, -step.sign)
-    if isinstance(step, InsertPair):
-        return InsertPair(step.pos, step.index, -step.sign)
-    return step
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 from .braids import BraidWord, Letter
 from .errors import PreconditionError
-from .movies import R3, ChartMovie, apply_step, slide_movie
+from .movies import R3, ChartMovie, apply_step, slide_movie, validate_movie
 from .movies import mirror_chart  # noqa: F401  re-exported
-from . import movies as _movies
 
 COLORING_CAP = 10**7
 
@@ -257,7 +256,7 @@ def cocycle_invariant(
     else:
         if movie.braid_a != a or movie.braid_b != b or movie.degree != a.degree:
             raise PreconditionError("movie belongs to a different pair")
-        _movies.validate_movie(movie)
+        validate_movie(movie)
     total = GroupRingElement.zero()
     for coloring in torus_colorings(a, b, q):
         w = boltzmann_exponent(triple_points(movie, coloring, q))

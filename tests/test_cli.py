@@ -91,6 +91,20 @@ GOLDEN = [
         "", id="cocycle-mirror",
     ),
     pytest.param(
+        ["cocycle", "-m", "4", "-a", "1 3", "-b", "D^3"], 0,
+        "3\ncoefficients: 3 0 0\n",
+        '{"coefficients": [3, 0, 0], "command": "cocycle", "degree": 4, '
+        '"schema": "torusbraid.v1"}\n',
+        "", id="cocycle-half-twist-odd",
+    ),
+    pytest.param(
+        ["cocycle", "-m", "4", "-a", "1 3", "-b", "D^4"], 0,
+        "9\ncoefficients: 9 0 0\n",
+        '{"coefficients": [9, 0, 0], "command": "cocycle", "degree": 4, '
+        '"schema": "torusbraid.v1"}\n',
+        "", id="cocycle-half-twist-even",
+    ),
+    pytest.param(
         ["ribbon", "-m", "4", "-a", "1 3", "-b", "D^2", *RIBBON22], 0,
         "verdict: Ribbon\nblocks: 2 x 2\ntubular: 1 1\ninterior1: 1 1\ninterior2: 1 1\n"
         "vertical1: 1 (destabilizes to the braid on one strand)\n"

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
+from torusbraid import movies
 from torusbraid.braids import BraidWord, garside_delta, word
 from torusbraid.errors import (
     MovieGenerationError,
@@ -19,6 +21,7 @@ from torusbraid.movies import (
     InsertPair,
     R3,
     apply_step,
+    mirror_chart,
     r3_window_sign,
     read_movie,
     slide_movie,
@@ -134,6 +137,92 @@ def test_slide_movie_low_degree_climbs_pinned():
         FarSwap(3), R3(1, 1), R3(3, 1), FarSwap(2),
         FarSwap(6), R3(7, -1), R3(9, -1), FarSwap(11),
     )
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_closed_form_climb_is_minimal(m):
+    # s1 delta delta -> delta delta s_{m-1}, and through the two periods of
+    # lengths m and m-1 that a slide through Delta climbs
+    delta = [(i, 1) for i in range(1, m)]
+    for second in (delta, delta[:-1]):
+        start = [(1, 1)] + delta + second
+        goal = delta + second + [(m - 1, 1)]
+        steps = movies._climb(0, m)
+        letters = list(start)
+        for idx, step in enumerate(steps):
+            apply_step(letters, step, idx)
+        assert letters == goal
+        assert sum(isinstance(st, R3) for st in steps) == m - 2
+        assert sum(isinstance(st, FarSwap) for st in steps) == (m - 2) * (m - 3)
+    # the fewest triple points of any far-swap/R3 path through delta delta
+    oracle = movies._word_path([(1, 1)] + delta * 2, delta * 2 + [(m - 1, 1)], 200_000)
+    assert sum(isinstance(st, R3) for st in oracle) == m - 2
+
+
+# cocycle state sums of (a, delta^(2m)) at m = 5 and 7, computed by the
+# searched climb that the closed form replaced
+DELTA_FAMILY_SUMS = [
+    (5, [1, 2, 2, 2, 3, 3, 3, 4], (3, 12, 12), (3, 12, 12)),
+    (5, [2, 2, 2, 1], (27, 0, 54), (27, 54, 0)),
+    (7, [5, 6, 4, 5, 1, 5, 1], (27, 54, 0), None),
+]
+
+
+@pytest.mark.parametrize("m, a, value, mirror_value", DELTA_FAMILY_SUMS)
+def test_delta_family_state_sums_pinned(m, a, value, mirror_value):
+    from torusbraid.quandles import cocycle_invariant
+
+    pair = (word(m, a), word(m, list(range(1, m))) ** (2 * m))
+    assert cocycle_invariant(*pair).coeffs == value
+    if mirror_value is not None:
+        assert cocycle_invariant(*mirror_chart(*pair)).coeffs == mirror_value
+
+
+@pytest.mark.parametrize("m", [13, 16])
+def test_slide_movie_high_degree_climb(m):
+    start = time.perf_counter()
+    movie = slide_movie(word(m, [1]), word(m, list(range(1, m))) ** m)
+    validate_movie(movie)
+    assert time.perf_counter() - start < 1.0
+    assert movie.r3_count() == 2 * (m - 2)
+
+
+def test_slide_movie_half_twist_mirror_in_place():
+    # the ribbon tests slide (a, Delta^k) and (a^-1, Delta^-k); here every
+    # crossing is reversed in place, so Delta's letters keep their order
+    for k in range(1, 17):
+        pair = mirror_chart(word(4, [1, 3]), garside_delta(4) ** k)
+        validate_movie(slide_movie(*pair))
+
+
+def test_per_letter_rule_needs_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("search reached")
+
+    monkeypatch.setattr(movies, "_word_path", no_search)
+    for a, b in (([1], [1, 3, 3]), ([1, 1], [3, 1, 3])):
+        movie = slide_movie(word(4, a), word(4, b))
+        validate_movie(movie)
+        assert movie.r3_count() == 0
+
+
+def test_slide_movie_rejects_label_one_on_the_last_period():
+    # s2 descends to s1 in the first period of delta^2 and cannot climb alone
+    with pytest.raises(MovieGenerationError):
+        slide_movie(word(3, [1, 2]), word(3, [1, 2]) ** 2)
+
+
+def test_slide_movie_search_fallback(monkeypatch):
+    calls = []
+    search = movies._word_path
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(movies, "_word_path", spy)
+    validate_movie(slide_movie(word(3, [2]), word(3, [1, 2, 2, 1])))
+    assert calls
 
 
 def test_slide_movie_mirror_pair():

@@ -363,6 +363,29 @@ def test_ribbon_family():
         assert verify_decomposition(a, garside_delta(4) ** k, v.certificate)
 
 
+# the uniform-sign pairs of the census ribbon families: (a, Delta^k) and the
+# mirror (a^-1, Delta^-k), with blocks of the given size and count
+RIBBON_FAMILIES = (
+    [(word(4, [1, 3]), k, 2, 2) for k in range(1, 17)]
+    + [(word(6, [1, 3, 5]), k, 2, 3) for k in (1, 2)]
+    + [(word(6, [1, 2, 4, 5]), k, 3, 2) for k in (2, 4, 6, 8)]
+)
+
+
+def test_ribbon_pairs_have_trivial_cocycle_invariant():
+    # a ribbon surface has a diagram without triple points, so its state sum
+    # is the number of its R3 colorings, all at t^0 (Carter-Saito 1998)
+    from torusbraid.quandles import cocycle_invariant, dihedral_quandle, torus_colorings
+
+    r3 = dihedral_quandle(3)
+    for a, k, size, count in RIBBON_FAMILIES:
+        b = garside_delta(a.degree) ** k
+        for pair in ((a, b), (a**-1, b**-1)):
+            assert ribbon_verdict(*pair, size, count).status == "Ribbon"
+            colorings = len(torus_colorings(*pair, r3))
+            assert cocycle_invariant(*pair).coeffs == (colorings, 0, 0)
+
+
 def test_ribbon_example_cable_lift():
     v = ribbon_verdict(word(4, [1, 3]), garside_delta(4) ** 2, 2, 2)
     lift = cable_lift(v.certificate.tubular, 2)
