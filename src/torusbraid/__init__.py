@@ -13,6 +13,7 @@ from .artin import (
     FreeWord,
     artin_apply,
     artin_generator_image,
+    artin_images,
     boundary_word,
     format_free_word,
     free_reduce,

@@ -14,6 +14,16 @@ letters left to right, so the action composes anti-homomorphically (the last
 letter of the braid acts last).  The product x1 x2 .. xm is fixed by every
 braid -- it is the meridian of the braid axis -- and :func:`artin_apply` of a
 word followed by its inverse word is the identity on any input.
+
+:func:`artin_images` builds all the images ``I_j`` in one pass over the braid,
+from its last letter to its first; each letter rewrites two of them:
+
+    sigma_i:      (I_i, I_{i+1}) <- (I_i I_{i+1} I_i^-1, I_i)
+    sigma_i^-1:   (I_i, I_{i+1}) <- (I_{i+1}, I_{i+1}^-1 I_i I_{i+1})
+
+Reduced images cancel only at the seams.  Past ``braids.WORD_CAP`` letters in
+all, the pass raises :class:`SearchBudgetExceeded`.  :func:`artin_apply`
+substitutes the images into a word.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .braids import BraidWord, word
+from .braids import BraidWord, check_cap, word
 from .errors import PreconditionError
 
 FreeLetter = tuple[int, int]
@@ -159,28 +169,32 @@ def boundary_word(rank: int) -> FreeWord:
 
 def artin_generator_image(m: int, i: int, sign: int, j: int) -> FreeWord:
     """Image of the generator ``x_j`` under ``sigma_i^sign`` in B_m."""
-    if not 1 <= i <= m - 1:
-        raise PreconditionError(f"sigma_{i} does not exist at degree {m}")
-    if sign > 0:
-        if j == i:
-            return free_word(m, [i, i + 1, -i])
-        if j == i + 1:
-            return generator(m, i)
-    else:
-        if j == i:
-            return generator(m, i + 1)
-        if j == i + 1:
-            return free_word(m, [-(i + 1), i, i + 1])
-    return generator(m, j)
+    return artin_apply(BraidWord(m, ((i, sign),)), generator(m, j))
 
 
-def _apply_letter(m: int, i: int, sign: int, w: FreeWord) -> FreeWord:
-    images = [artin_generator_image(m, i, sign, j) for j in range(1, m + 1)]
-    out: list[FreeLetter] = []
-    for j, s in w.letters:
-        img = images[j - 1]
-        out.extend(img.letters if s > 0 else img.inverse().letters)
-    return free_reduce(FreeWord(m, tuple(out)))
+def _times(u: list[int], v: list[int]) -> list[int]:
+    """The reduced product of reduced words of signed generator numbers."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
+
+
+def artin_images(beta: BraidWord) -> tuple[FreeWord, ...]:
+    """The reduced images of ``x1 .. xm`` under the braid word ``beta``."""
+    m = beta.degree
+    images = [[j] for j in range(1, m + 1)]  # signed generator numbers
+    total = m
+    for i, s in reversed(beta.letters):
+        u, v = images[i - 1], images[i]
+        if s > 0:
+            images[i - 1], images[i] = _times(_times(u, v), [-x for x in u[::-1]]), u
+        else:
+            images[i - 1], images[i] = v, _times(_times([-x for x in v[::-1]], u), v)
+        total += len(images[i - 1]) + len(images[i]) - len(u) - len(v)
+        check_cap(total, "the Artin action")
+    letter = {s * j: (j, s) for j in range(1, m + 1) for s in (1, -1)}
+    return tuple(FreeWord(m, tuple(map(letter.__getitem__, w))) for w in images)
 
 
 def artin_apply(beta: BraidWord, w: FreeWord) -> FreeWord:
@@ -189,7 +203,6 @@ def artin_apply(beta: BraidWord, w: FreeWord) -> FreeWord:
         raise PreconditionError(
             f"word rank {w.rank} does not match braid degree {beta.degree}"
         )
-    out = free_reduce(w)
-    for i, s in beta.letters:
-        out = _apply_letter(beta.degree, i, s, out)
-    return out
+    images = artin_images(beta)
+    parts = (images[j - 1] if s > 0 else images[j - 1].inverse() for j, s in w.letters)
+    return free_reduce(FreeWord(w.rank, tuple(x for part in parts for x in part)))

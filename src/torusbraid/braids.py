@@ -172,7 +172,7 @@ def parse_braid(text: str, degree: int) -> BraidWord:
                     pos += 1
             else:
                 base, power = _parse_token(tok, degree)
-            _check_cap(len(out) + len(base) * abs(power))
+            check_cap(len(out) + len(base) * abs(power))
             out.extend(_word_power(base, power))
         if depth != 0:
             raise PreconditionError("unbalanced '(' in braid word")
@@ -182,10 +182,10 @@ def parse_braid(text: str, degree: int) -> BraidWord:
     return BraidWord(degree, tuple(letters))
 
 
-def _check_cap(size: int) -> None:
+def check_cap(size: int, what: str = "braid word") -> None:
     if size > WORD_CAP:
         raise SearchBudgetExceeded(
-            f"braid word reaches {size} letters, over the cap of {WORD_CAP}"
+            f"{what} reaches {size} letters, over the cap of {WORD_CAP}"
         )
 
 
@@ -215,7 +215,7 @@ def _parse_token(tok: str, degree: int) -> tuple[list[Letter], int]:
             raise PreconditionError(f"bad power in token {tok!r}") from None
     if base in ("D", "d"):
         # Delta has m(m-1)/2 letters: check before building it
-        _check_cap(degree * (degree - 1) // 2 * abs(power))
+        check_cap(degree * (degree - 1) // 2 * abs(power))
         return (list(garside_delta(degree).letters) if power else []), power
     if base in ("e", "E"):
         return [], power

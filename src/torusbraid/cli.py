@@ -14,6 +14,7 @@ early (as a shell reports a process killed by ``SIGPIPE``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -209,6 +210,7 @@ def _cmd_h_member(args: argparse.Namespace) -> Result:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusbraid",

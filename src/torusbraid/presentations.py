@@ -25,11 +25,10 @@ from math import gcd
 
 from .artin import (
     FreeWord,
-    artin_apply,
+    artin_images,
     boundary_word,
     format_free_word,
     free_reduce,
-    generator,
 )
 from .braids import BraidWord, commute_check, normal_form
 from .errors import PreconditionError, SearchBudgetExceeded
@@ -82,12 +81,12 @@ def torus_covering_group(a: BraidWord, b: BraidWord) -> GroupPresentation:
     names = tuple(f"x{j}" for j in range(1, m + 1))
     relators: list[FreeWord] = []
     for braid in (a, b):
-        for j in range(1, m + 1):
-            rel = free_reduce(
-                generator(m, j).inverse() * artin_apply(braid, generator(m, j))
-            )
-            if rel.letters:
-                relators.append(rel)
+        for j, image in enumerate(artin_images(braid), 1):
+            letters = image.letters
+            # x_j^-1 can cancel only the first letter of the reduced image
+            rel = letters[1:] if letters[:1] == ((j, 1),) else ((j, -1),) + letters
+            if rel:
+                relators.append(FreeWord(m, rel))
     return GroupPresentation(names, tuple(relators), {"boundary": boundary_word(m)})
 
 

@@ -26,10 +26,10 @@ which movie realizes the pair, only on the pair itself.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .braids import BraidWord, Letter
-from .errors import PreconditionError
+from .errors import PreconditionError, SearchBudgetExceeded
 from .movies import R3, ChartMovie, apply_step, slide_movie, validate_movie
 from .movies import mirror_chart  # noqa: F401  re-exported
 
@@ -43,14 +43,18 @@ class Quandle:
     size: int
     table: tuple[tuple[int, ...], ...]
     name: str = ""
+    _right_div: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:  # check_quandle, not this, judges the table
+        right_div = tuple({x: z for z, x in enumerate(col)} for col in zip(*self.table))
+        object.__setattr__(self, "_right_div", right_div)  # [y][x]: the z with z * y = x
 
     def op(self, x: int, y: int) -> int:
         return self.table[x][y]
 
     def op_inv(self, x: int, y: int) -> int:
         """The unique z with ``z * y = x``."""
-        col = [self.table[z][y] for z in range(self.size)]
-        return col.index(x)
+        return self._right_div[y][x]
 
 
 def check_quandle(q: Quandle) -> None:
@@ -112,7 +116,7 @@ def torus_colorings(
         )
     m = a.degree
     if q.size**m > COLORING_CAP:
-        raise PreconditionError(
+        raise SearchBudgetExceeded(
             f"coloring search over {q.size}^{m} vectors exceeds the cap"
         )
     out = []

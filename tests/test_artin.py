@@ -5,10 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusbraid.artin import (
+    FreeWord,
     artin_apply,
     artin_generator_image,
+    artin_images,
     boundary_word,
     format_free_word,
     free_reduce,
@@ -16,8 +20,8 @@ from torusbraid.artin import (
     generator,
     parse_free_word,
 )
-from torusbraid.braids import BraidWord, garside_delta, word
-from torusbraid.errors import PreconditionError
+from torusbraid.braids import WORD_CAP, BraidWord, garside_delta, parse_braid, word
+from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 
 
 def test_free_word_algebra():
@@ -124,3 +128,93 @@ def test_degree_mismatch_rejected():
         generator(3, 4)
     with pytest.raises(PreconditionError):
         artin_apply(BraidWord(2, ()), free_word(3, [3]))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass kernel against the per-letter action
+# ---------------------------------------------------------------------------
+
+
+def _letter_images(m: int, i: int, sign: int) -> list[FreeWord]:
+    """The Artin rules for one letter, written out."""
+    images = [generator(m, j) for j in range(1, m + 1)]
+    if sign > 0:
+        images[i - 1], images[i] = free_word(m, [i, i + 1, -i]), generator(m, i)
+    else:
+        images[i - 1], images[i] = generator(m, i + 1), free_word(m, [-(i + 1), i, i + 1])
+    return images
+
+
+def _apply_letter(m: int, i: int, sign: int, w: FreeWord) -> FreeWord:
+    images = _letter_images(m, i, sign)
+    out = []
+    for j, s in w.letters:
+        img = images[j - 1]
+        out.extend(img.letters if s > 0 else img.inverse().letters)
+    return free_reduce(FreeWord(m, tuple(out)))
+
+
+def _oracle_images(beta: BraidWord) -> tuple[FreeWord, ...]:
+    """Each generator pushed through the braid letter by letter, left to right."""
+    m = beta.degree
+    out = []
+    for j in range(1, m + 1):
+        w = generator(m, j)
+        for i, s in beta.letters:
+            w = _apply_letter(m, i, s, w)
+        out.append(w)
+    return tuple(out)
+
+
+def _check_against_oracle(beta: BraidWord) -> None:
+    assert artin_images(beta) == _oracle_images(beta)
+
+
+def test_images_match_oracle_on_random_words():
+    rng = random.Random(2024)
+    for _ in range(150):
+        m = rng.randint(2, 8)
+        n = rng.randint(0, 30)
+        _check_against_oracle(word(m, [rng.choice([1, -1]) * rng.randint(1, m - 1)
+                                       for _ in range(n)]))
+
+
+def test_images_match_oracle_on_twist_powers():
+    for m in range(3, 9):
+        delta = word(m, range(1, m))
+        for k in (-2, -1, 1, 2, 3):
+            _check_against_oracle(garside_delta(m) ** k)
+            _check_against_oracle(delta ** k)
+        _check_against_oracle(delta ** m)
+
+
+def test_images_match_oracle_on_pseudo_anosov_family():
+    for k in range(0, 11):
+        _check_against_oracle(word(3, [1, -2]) ** k)
+
+
+def test_images_match_oracle_on_acceptance_pair_and_a_long_power():
+    _check_against_oracle(parse_braid("1 2 2 2 3", 4))
+    _check_against_oracle(parse_braid("(1 2 3)^48", 4))
+    _check_against_oracle(parse_braid("s1^47", 3))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 8).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.integers(1, m - 1).flatmap(lambda i: st.sampled_from([i, -i])), max_size=30),
+)))
+def test_images_match_oracle_property(case):
+    m, letters = case
+    _check_against_oracle(word(m, letters))
+
+
+def test_images_past_the_cap_raise_budget_error():
+    with pytest.raises(SearchBudgetExceeded, match="the Artin action reaches"):
+        artin_images(parse_braid("(1 -2)^16", 3))
+
+
+def test_pseudo_anosov_images_at_k10_stay_under_the_cap():
+    # the closed-pipe CLI test needs this pair's full output of about 390 KB
+    total = sum(len(w) for w in artin_images(parse_braid("(1 -2)^10", 3)))
+    assert 40_000 < total < WORD_CAP

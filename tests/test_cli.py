@@ -167,6 +167,28 @@ def test_golden_output(capsys, argv, code, text, doc, err):
     assert run(capsys, *argv, "--json") == (code, doc, err)
 
 
+def test_golden_output_in_reverse_order(capsys):
+    # one parser serves every call, and no call leaves state for the next
+    for param in reversed(GOLDEN):
+        argv, code, text, doc, err = param.values
+        assert run(capsys, *argv, "--json") == (code, doc, err)
+        assert run(capsys, *argv) == (code, text, err)
+
+
+def test_parser_is_built_once():
+    from torusbraid.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_plain_group_after_simplified_group_is_unsimplified(capsys):
+    pair = ["-m", "4", "-a", "1 3", "-b", "D^2"]
+    code, out, _ = run(capsys, "group", *pair, "--simplify")
+    assert (code, out.split(" |")[0]) == (0, "< x1, x3")
+    code, out, _ = run(capsys, "group", *pair)
+    assert (code, out.split(" |")[0]) == (0, "< x1, x2, x3, x4")
+
+
 def test_cocycle_example(capsys):
     code, out, _ = run(capsys, "cocycle", "-m", "4", "-a", "1 2 2 2 3", "-b", "(1 2 3)^4")
     assert code == 0
@@ -283,6 +305,21 @@ def test_quotient_tuples_past_the_cap_exit_3(capsys):
     code, out, err = run(capsys, "quotients", "-m", "6", "-a", "", "-b", "", "--group", "S4")
     assert (code, out) == (3, "")
     assert err == "undecided: enumeration of 24^6 tuples exceeds the cap of 100000000\n"
+
+
+def test_colorings_past_the_cap_exit_3(capsys):
+    code, out, err = run(capsys, "colorings", "-m", "9", "-a", "e", "-b", "e", "--quandle", "7")
+    assert (code, out) == (3, "")
+    assert err == "undecided: coloring search over 7^9 vectors exceeds the cap\n"
+
+
+def test_pseudo_anosov_relators_past_the_cap_exit_3(capsys):
+    # the images of (s1 s2^-1)^16 would reach about 28M letters
+    start = time.perf_counter()
+    code, out, err = run(capsys, "group", "-m", "3", "-a", "(1 -2)^16", "-b", "(1 -2)^16")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err.startswith("undecided: the Artin action reaches ")
 
 
 def test_quotients_rejects_unknown_group(capsys):

@@ -67,6 +67,14 @@ def test_check_quandle_rejects_broken_table():
         check_quandle(broken)
 
 
+def test_right_division_table_matches_column_scan():
+    for p in range(2, 10):
+        q = dihedral_quandle(p)
+        for x in range(p):
+            for y in range(p):
+                assert q.op_inv(x, y) == [q.op(z, y) for z in range(p)].index(x)
+
+
 def test_dihedral_operation_values():
     q = dihedral_quandle(3)
     assert q.op(0, 1) == 2  # 2*1 - 0 mod 3
