@@ -12,7 +12,6 @@ decompositions, and the chart-level rotation and shear transforms.
 from .artin import (
     FreeWord,
     artin_apply,
-    artin_generator_image,
     artin_images,
     boundary_word,
     format_free_word,
@@ -74,6 +73,7 @@ from .presentations import (
     smith_invariants,
     symmetric_group,
     tietze_eliminate,
+    torus_abelianization,
     torus_covering_group,
 )
 from .quandles import (

@@ -21,9 +21,10 @@ from its last letter to its first; each letter rewrites two of them:
     sigma_i:      (I_i, I_{i+1}) <- (I_i I_{i+1} I_i^-1, I_i)
     sigma_i^-1:   (I_i, I_{i+1}) <- (I_{i+1}, I_{i+1}^-1 I_i I_{i+1})
 
-Reduced images cancel only at the seams.  Past ``braids.WORD_CAP`` letters in
-all, the pass raises :class:`SearchBudgetExceeded`.  :func:`artin_apply`
-substitutes the images into a word.
+Reduced images cancel only at the seams.  Before each letter the pass bounds
+the new images of one braid, cancellation aside; past ``braids.WORD_CAP``
+letters in all, it raises :class:`SearchBudgetExceeded` without building them.
+:func:`artin_apply` substitutes the images into a word.
 """
 
 from __future__ import annotations
@@ -167,11 +168,6 @@ def boundary_word(rank: int) -> FreeWord:
 # ---------------------------------------------------------------------------
 
 
-def artin_generator_image(m: int, i: int, sign: int, j: int) -> FreeWord:
-    """Image of the generator ``x_j`` under ``sigma_i^sign`` in B_m."""
-    return artin_apply(BraidWord(m, ((i, sign),)), generator(m, j))
-
-
 def _times(u: list[int], v: list[int]) -> list[int]:
     """The reduced product of reduced words of signed generator numbers."""
     k, n = 0, min(len(u), len(v))
@@ -187,12 +183,13 @@ def artin_images(beta: BraidWord) -> tuple[FreeWord, ...]:
     total = m
     for i, s in reversed(beta.letters):
         u, v = images[i - 1], images[i]
+        # the letter adds at most 2|u| (2|v| for sigma_i^-1) letters in all
+        check_cap(total + 2 * len(u if s > 0 else v), "a bound on the Artin images")
         if s > 0:
             images[i - 1], images[i] = _times(_times(u, v), [-x for x in u[::-1]]), u
         else:
             images[i - 1], images[i] = v, _times(_times([-x for x in v[::-1]], u), v)
         total += len(images[i - 1]) + len(images[i]) - len(u) - len(v)
-        check_cap(total, "the Artin action")
     letter = {s * j: (j, s) for j in range(1, m + 1) for s in (1, -1)}
     return tuple(FreeWord(m, tuple(map(letter.__getitem__, w))) for w in images)
 

@@ -14,7 +14,6 @@ early (as a shell reports a process killed by ``SIGPIPE``).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -31,15 +30,13 @@ from .errors import (
 from .movies import read_movie
 from .presentations import (
     FiniteGroup,
-    abelianization,
-    add_relator,
-    central_twist_relator,
     cyclic_group,
     dihedral_group,
     finite_quotient_count,
     format_presentation,
     symmetric_group,
     tietze_eliminate,
+    torus_abelianization,
     torus_covering_group,
 )
 from .quandles import cocycle_invariant, dihedral_quandle, torus_colorings
@@ -88,10 +85,7 @@ def _cmd_group(args: argparse.Namespace) -> Result:
 
 def _cmd_abelianization(args: argparse.Namespace) -> Result:
     a, b = _braid_pair(args)
-    p = torus_covering_group(a, b)
-    if args.quotient_center:
-        p = add_relator(p, central_twist_relator(p, b))
-    inv = abelianization(tietze_eliminate(p))
+    inv = torus_abelianization(a, b, args.quotient_center)
     payload = {
         "degree": args.degree,
         "quotient_center": args.quotient_center,
@@ -210,7 +204,6 @@ def _cmd_h_member(args: argparse.Namespace) -> Result:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusbraid",

@@ -6,7 +6,8 @@ of the associated link complement is generated by the strand meridians
 (Artin action), one pair per strand.  :func:`torus_covering_group` builds that
 presentation; :func:`tietze_eliminate` shrinks it by eliminating generators
 that occur exactly once in some relator; :func:`abelianization` computes the
-integral invariants via Smith normal form over exact integers; and
+integral invariants via Smith normal form over exact integers
+(:func:`torus_abelianization` reads them off a pair's permutations); and
 :func:`finite_quotient_count` counts homomorphisms onto small finite groups by
 exhaustive enumeration.
 
@@ -30,7 +31,7 @@ from .artin import (
     format_free_word,
     free_reduce,
 )
-from .braids import BraidWord, commute_check, normal_form
+from .braids import BraidWord, commute_check, normal_form, permutation
 from .errors import PreconditionError, SearchBudgetExceeded
 
 TUPLE_CAP = 10**8
@@ -69,14 +70,7 @@ def torus_covering_group(a: BraidWord, b: BraidWord) -> GroupPresentation:
     Raises a precondition error if the degrees differ or the braids do not
     commute (the pair does not define a surface in that case).
     """
-    if a.degree != b.degree:
-        raise PreconditionError(
-            f"braid degrees differ: {a.degree} vs {b.degree}"
-        )
-    if not commute_check(a, b):
-        raise PreconditionError(
-            "the two braids do not commute, so they do not define a link"
-        )
+    _check_pair(a, b)
     m = a.degree
     names = tuple(f"x{j}" for j in range(1, m + 1))
     relators: list[FreeWord] = []
@@ -88,6 +82,15 @@ def torus_covering_group(a: BraidWord, b: BraidWord) -> GroupPresentation:
             if rel:
                 relators.append(FreeWord(m, rel))
     return GroupPresentation(names, tuple(relators), {"boundary": boundary_word(m)})
+
+
+def _check_pair(a: BraidWord, b: BraidWord) -> None:
+    if a.degree != b.degree:
+        raise PreconditionError(f"braid degrees differ: {a.degree} vs {b.degree}")
+    if not commute_check(a, b):
+        raise PreconditionError(
+            "the two braids do not commute, so they do not define a link"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +197,21 @@ def central_twist_relator(p: GroupPresentation, b: BraidWord) -> FreeWord:
     Raises a precondition error if ``b`` is not a half-twist power or the
     presentation does not carry a ``"boundary"`` marked word.
     """
+    exponent = _central_exponent(b)
+    if "boundary" not in p.marked:
+        raise PreconditionError("presentation has no marked boundary word")
+    return free_reduce(p.marked["boundary"] ** exponent)
+
+
+def _central_exponent(b: BraidWord) -> int:
     nf = normal_form(b)
     if not nf.is_half_twist_power():
         raise PreconditionError(
             "central quotient requires the second braid to equal a power "
             "of the half twist"
         )
-    if "boundary" not in p.marked:
-        raise PreconditionError("presentation has no marked boundary word")
     k = nf.infimum
-    exponent = k // 2 if k % 2 == 0 else k
-    return free_reduce(p.marked["boundary"] ** exponent)
+    return k // 2 if k % 2 == 0 else k
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +305,28 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
         for j, s in rel.letters:
             row[j - 1] += s
         rows.append(row)
+    return _invariants(p.rank, rows)
+
+
+def torus_abelianization(
+    a: BraidWord, b: BraidWord, quotient_center: bool = False
+) -> AbelianInvariants:
+    """H_1 of :func:`torus_covering_group`, or of its central quotient, with no
+    free word built: a braid sends ``x_j`` to a conjugate of ``x_pi(j)``, so the
+    relator ``x_j^-1 beta(x_j)`` has exponent sums ``e_pi(j) - e_j``, and the
+    word ``W^e`` of :func:`central_twist_relator` has ``e (1, .., 1)``."""
+    _check_pair(a, b)
+    m = a.degree
+    rows = [[(k == pi[j]) - (k == j + 1) for k in range(1, m + 1)]
+            for pi in (permutation(a), permutation(b)) for j in range(m)]
+    if quotient_center:
+        rows.append([_central_exponent(b)] * m)
+    return _invariants(m, rows)
+
+
+def _invariants(rank: int, rows: list[list[int]]) -> AbelianInvariants:
     divisors = smith_invariants(rows)
-    torsion = tuple(d for d in divisors if d > 1)
-    return AbelianInvariants(p.rank - len(divisors), torsion)
+    return AbelianInvariants(rank - len(divisors), tuple(d for d in divisors if d > 1))
 
 
 def cyclic_hom_count(ab: AbelianInvariants, k: int) -> int:

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from torusbraid.artin import (
     artin_apply,
-    artin_generator_image,
     boundary_word,
     free_reduce,
     free_word,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from torusbraid.artin import (
     FreeWord,
     artin_apply,
-    artin_generator_image,
     artin_images,
     boundary_word,
     format_free_word,
@@ -55,12 +54,11 @@ def test_boundary_word():
 
 def test_generator_images():
     # s_i sends x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i
-    assert format_free_word(artin_generator_image(3, 1, 1, 1)) == "x1 x2 x1^-1"
-    assert format_free_word(artin_generator_image(3, 1, 1, 2)) == "x1"
-    assert format_free_word(artin_generator_image(3, 1, 1, 3)) == "x3"
+    images = [format_free_word(w) for w in artin_images(word(3, [1]))]
+    assert images == ["x1 x2 x1^-1", "x1", "x3"]
     # the inverse letter sends x_i to x_{i+1}
-    assert format_free_word(artin_generator_image(3, 1, -1, 1)) == "x2"
-    assert format_free_word(artin_generator_image(3, 1, -1, 2)) == "x2^-1 x1 x2"
+    images = [format_free_word(w) for w in artin_images(word(3, [-1]))]
+    assert images == ["x2", "x2^-1 x1 x2", "x3"]
 
 
 def test_apply_single_letter():
@@ -210,8 +208,29 @@ def test_images_match_oracle_property(case):
 
 
 def test_images_past_the_cap_raise_budget_error():
-    with pytest.raises(SearchBudgetExceeded, match="the Artin action reaches"):
+    with pytest.raises(SearchBudgetExceeded, match="a bound on the Artin images reaches"):
         artin_images(parse_braid("(1 -2)^16", 3))
+
+
+def test_images_past_the_cap_are_never_built(monkeypatch):
+    # the pass stops before a letter that could take its images past the cap
+    import torusbraid.artin as artin
+
+    for text, m in (("(1 -2)^16", 3), ("(1 2 -3)^12", 4), ("(-2 -1 3)^12", 4)):
+        beta = parse_braid(text, m)
+        totals = []  # of the images of the last k letters, until one passes 1000
+        while not totals or totals[-1] <= 1000:
+            suffix = BraidWord(m, beta.letters[len(beta) - len(totals):])
+            totals.append(sum(map(len, artin_images(suffix))))
+        calls = []
+        times = artin._times
+        monkeypatch.setattr(artin, "_times", lambda u, v: calls.append(1) or times(u, v))
+        monkeypatch.setattr("torusbraid.braids.WORD_CAP", 1000)
+        with pytest.raises(SearchBudgetExceeded):
+            artin_images(beta)
+        monkeypatch.undo()
+        # each letter rewrites its images with two calls of _times
+        assert totals[len(calls) // 2] <= 1000
 
 
 def test_pseudo_anosov_images_at_k10_stay_under_the_cap():

@@ -168,17 +168,11 @@ def test_golden_output(capsys, argv, code, text, doc, err):
 
 
 def test_golden_output_in_reverse_order(capsys):
-    # one parser serves every call, and no call leaves state for the next
+    # no call leaves state for the next
     for param in reversed(GOLDEN):
         argv, code, text, doc, err = param.values
         assert run(capsys, *argv, "--json") == (code, doc, err)
         assert run(capsys, *argv) == (code, text, err)
-
-
-def test_parser_is_built_once():
-    from torusbraid.cli import build_parser
-
-    assert build_parser() is build_parser()
 
 
 def test_plain_group_after_simplified_group_is_unsimplified(capsys):
@@ -319,7 +313,15 @@ def test_pseudo_anosov_relators_past_the_cap_exit_3(capsys):
     code, out, err = run(capsys, "group", "-m", "3", "-a", "(1 -2)^16", "-b", "(1 -2)^16")
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (3, "")
-    assert err.startswith("undecided: the Artin action reaches ")
+    assert err.startswith("undecided: a bound on the Artin images reaches ")
+
+
+def test_pseudo_anosov_abelianization_builds_no_relators(capsys):
+    # H_1 is read off the permutations, so the relator cap does not apply
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "abelianization", "-m", "3", "-a", "(1 -2)^16", "-b", "(1 -2)^16")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, "Z\n")
 
 
 def test_quotients_rejects_unknown_group(capsys):

@@ -22,6 +22,7 @@ from torusbraid.presentations import (
     smith_invariants,
     symmetric_group,
     tietze_eliminate,
+    torus_abelianization,
     torus_covering_group,
 )
 
@@ -138,6 +139,38 @@ def test_odd_family_center_quotient_small():
         assert abelianization(tietze_eliminate(p)) == AbelianInvariants(
             0, (4 * (2 * n + 1),)
         )
+
+
+def _word_path_abelianization(a, b, quotient_center):
+    p = torus_covering_group(a, b)
+    if quotient_center:
+        p = add_relator(p, central_twist_relator(p, b))
+    return abelianization(tietze_eliminate(p))
+
+
+def test_abelianization_from_permutations_matches_the_relators():
+    rng = random.Random(31)
+    cases = 0
+    for m in range(1, 7):
+        delta = garside_delta(m)
+        symmetric = word(m, [1, m - 1]) if m > 1 else BraidWord(1, ())
+        for _ in range(25):
+            w = word(m, [rng.choice([1, -1]) * rng.randint(1, m - 1)
+                         for _ in range(rng.randint(0, 6) if m > 1 else 0)])
+            j, k = rng.randint(-2, 3), rng.randint(-2, 3)
+            pairs = [(w**j, w**k), (w, delta ** (2 * k)), (symmetric**j, delta**k),
+                     (delta**j, delta**k)]
+            for a, b in pairs:
+                for center in (False, True):
+                    try:
+                        want = _word_path_abelianization(a, b, center)
+                    except PreconditionError as e:
+                        with pytest.raises(PreconditionError, match=str(e)):
+                            torus_abelianization(a, b, center)
+                        continue
+                    assert torus_abelianization(a, b, center) == want
+                    cases += 1
+    assert cases > 800
 
 
 # ---------------------------------------------------------------------------
