@@ -31,7 +31,7 @@ from .artin import (
     format_free_word,
     free_reduce,
 )
-from .braids import BraidWord, commute_check, normal_form, permutation
+from .braids import BraidWord, check_cap, commute_check, normal_form, permutation
 from .errors import PreconditionError, SearchBudgetExceeded
 
 TUPLE_CAP = 10**8
@@ -134,7 +134,8 @@ def tietze_eliminate(p: GroupPresentation) -> GroupPresentation:
     substitute everywhere (including marked words), and drop the relator and
     the generator.  Only free reduction and removal of empty/duplicate
     relators are applied besides that, so the group is unchanged and the
-    procedure is deterministic.
+    procedure is deterministic.  Relators past ``braids.WORD_CAP`` letters in
+    total after a substitution raise :class:`SearchBudgetExceeded`.
     """
     names = list(p.generators)
     relators = _clean([free_reduce(r) for r in p.relators])
@@ -166,6 +167,7 @@ def tietze_eliminate(p: GroupPresentation) -> GroupPresentation:
 
         del relators[ri]
         relators = [_substitute(r, gi, replacement) for r in relators]
+        check_cap(sum(len(r.letters) for r in relators), "the Tietze relator total")
         marked = {k: _substitute(v, gi, replacement) for k, v in marked.items()}
         relators = [_drop_generator(r, gi) for r in relators]
         marked = {k: _drop_generator(v, gi) for k, v in marked.items()}
@@ -242,9 +244,16 @@ def smith_invariants(rows: list[list[int]]) -> list[int]:
     Returns ``[d1, .., dr]`` with each ``d_t > 0`` and ``d_t | d_{t+1}``;
     ``r`` is the rank of the matrix.
     """
+    return smith_form(rows)[0]
+
+
+def smith_form(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """:func:`smith_invariants` and the column transform ``V``: unimodular, with
+    ``U A V = diag(+-d1, .., +-dr, 0, ..)`` for some unimodular ``U``."""
     a = [list(map(int, row)) for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
+    transform = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     out: list[int] = []
     t = 0
     while True:
@@ -259,7 +268,7 @@ def smith_invariants(rows: list[list[int]]) -> list[int]:
             break
         pi, pj = pivot
         a[t], a[pi] = a[pi], a[t]
-        for row in a:
+        for row in a + transform:
             row[t], row[pj] = row[pj], row[t]
         p = a[t][t]
         dirty = False
@@ -273,8 +282,8 @@ def smith_invariants(rows: list[list[int]]) -> list[int]:
         for j in range(t + 1, ncols):
             q = a[t][j] // p
             if q:
-                for i in range(t, nrows):
-                    a[i][j] -= q * a[i][t]
+                for row in a[t:] + transform:
+                    row[j] -= q * row[t]
             if a[t][j]:
                 dirty = True
         if dirty:
@@ -294,7 +303,7 @@ def smith_invariants(rows: list[list[int]]) -> list[int]:
             continue
         out.append(abs(p))
         t += 1
-    return out
+    return out, transform
 
 
 def abelianization(p: GroupPresentation) -> AbelianInvariants:

@@ -11,8 +11,9 @@ letter at a time:
     sigma_i^-1:  (.., u, v, ..)         -> (.., v *~ u, u, ..)
 
 where ``*~`` is the right division (in dihedral quandles ``*~`` equals ``*``).
-A coloring of a commuting pair ``(a, b)`` is a vector fixed by both actions;
-:func:`torus_colorings` enumerates them exhaustively.
+A coloring of a commuting pair ``(a, b)`` is a vector fixed by both actions.
+In R_p the action is linear, so :func:`torus_colorings` lists the colorings
+as the kernel mod p of an integer matrix, from its Smith normal form.
 
 Weights.  Every triple point of a movie (an R3 step) picks up the Mochizuki
 3-cocycle value ``theta(x, y, z) = (x-y)(y-z)z(x+z)`` over Z/3 at the colors
@@ -25,13 +26,14 @@ which movie realizes the pair, only on the pair itself.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from math import gcd, prod
 
 from .braids import BraidWord, Letter
 from .errors import PreconditionError, SearchBudgetExceeded
-from .movies import R3, ChartMovie, apply_step, slide_movie, validate_movie
-from .movies import mirror_chart  # noqa: F401  re-exported
+from .movies import R3, CancelPair, ChartMovie, InsertPair, apply_step, slide_movie
+from .movies import mirror_chart, validate_movie  # noqa: F401  mirror_chart re-exported
+from .presentations import smith_form
 
 COLORING_CAP = 10**7
 
@@ -96,36 +98,54 @@ def braid_monodromy(
         raise PreconditionError(
             f"coloring has {len(colors)} entries for degree {beta.degree}"
         )
-    c = list(colors)
-    for i, s in beta.letters:
-        u, v = c[i - 1], c[i]
-        if s > 0:
-            c[i - 1], c[i] = v, q.op(u, v)
-        else:
-            c[i - 1], c[i] = q.op_inv(v, u), u
-    return tuple(c)
+    c = tuple(colors)
+    for x in beta.letters:
+        c = _push(c, x, q)
+    return c
+
+
+def _push(c: tuple[int, ...], letter: Letter, q: Quandle) -> tuple[int, ...]:
+    i, s = letter
+    u, v = c[i - 1], c[i]
+    return c[: i - 1] + ((v, q.op(u, v)) if s > 0 else (q.op_inv(v, u), u)) + c[i + 1 :]
 
 
 def torus_colorings(
     a: BraidWord, b: BraidWord, q: Quandle
 ) -> list[tuple[int, ...]]:
-    """All color vectors fixed by both braids, lexicographically sorted."""
+    """All colorings by a dihedral quandle R_p, lexicographically sorted.
+
+    R_p acts linearly, ``sigma_i`` by ``(u, v) -> (v, 2v - u)`` and
+    ``sigma_i^-1`` by ``(u, v) -> (2u - v, u)``, so the colorings solve
+    ``[M_a - I; M_b - I] c = 0 (mod p)``.  With the Smith form ``U A V = D``
+    they are ``c = V w`` with ``d_t w_t = 0 (mod p)`` and ``w_t`` free past the
+    rank: ``p^(m-r) prod gcd(d_t, p)`` of them for any p >= 2, counted against
+    ``COLORING_CAP`` before any is listed.  A quandle other than R_p is refused.
+    """
     if a.degree != b.degree:
         raise PreconditionError(
             f"braid degrees differ: {a.degree} vs {b.degree}"
         )
-    m = a.degree
-    if q.size**m > COLORING_CAP:
-        raise SearchBudgetExceeded(
-            f"coloring search over {q.size}^{m} vectors exceeds the cap"
-        )
-    out = []
-    for colors in itertools.product(range(q.size), repeat=m):
-        if braid_monodromy(a, q, colors) == colors and (
-            braid_monodromy(b, q, colors) == colors
-        ):
-            out.append(colors)
-    return out
+    p, m = q.size, a.degree
+    if q.table != dihedral_quandle(p).table:
+        raise PreconditionError(f"quandle {q.name or '?'} is not dihedral")
+    rows: list[list[int]] = []
+    for beta in (a, b):  # column j of M_beta is the image of e_j
+        cols = [braid_monodromy(beta, q, tuple(int(r == j) for r in range(m)))
+                for j in range(m)]
+        rows += [[c[r] - (r == j) for j, c in enumerate(cols)] for r in range(m)]
+    divisors, v = smith_form(rows)
+    counts = [gcd(d, p) for d in divisors] + [p] * (m - len(divisors))
+    if prod(counts) > COLORING_CAP:
+        rest = prod(n for n in counts if n < p)
+        size = f"{p}^{counts.count(p)}" + (f" * {rest}" if rest > 1 else "")
+        raise SearchBudgetExceeded(f"coloring search over {size} vectors exceeds the cap")
+    out = [(0,) * m]
+    for t, n in enumerate(counts):  # w_t runs over the multiples of p / n
+        step = [row[t] * (p // n) for row in v]
+        out = [tuple((x + k * y) % p for x, y in zip(c, step))
+               for c in out for k in range(n)]
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -201,37 +221,42 @@ def triple_points(
 ) -> list[TriplePoint]:
     """The movie's triple points with sheet colors under one coloring.
 
-    Replays the movie; at each R3 step the base coloring is pushed through
-    the word prefix before the window, and the colors at the three strand
-    positions the window occupies (min(i, j) and the two above) are read in
-    bottom-to-top sheet order.  For a window of positive letters the strands
-    enter bottom sheet first, so the entering colors are recorded with the
-    step's sign.  For a window of negative letters the sheet hierarchy is the
-    reverse and the source region sits on the exit side, so the colors
-    *leaving* the window are recorded and the contribution sign is opposite
-    to the window sign; this is the convention under which mirror pairs give
-    conjugate state sums.
+    Replays the movie keeping the color vector before every word position;
+    a step recomputes only the positions it rewrites (two for R3, one for a
+    far swap or an inserted pair).  At each R3 step the colors at the three
+    strand positions the window occupies (min(i, j) and the two above) are
+    read in bottom-to-top sheet order.  For a window of positive letters the
+    strands enter bottom sheet first, so the entering colors are recorded
+    with the step's sign.  For a window of negative letters the sheet
+    hierarchy is the reverse and the source region sits on the exit side, so
+    the colors *leaving* the window are recorded and the contribution sign is
+    opposite to the window sign; this is the convention under which mirror
+    pairs give conjugate state sums.
     """
+    if len(coloring) != movie.degree:
+        raise PreconditionError(
+            f"coloring has {len(coloring)} entries for degree {movie.degree}"
+        )
     letters: list[Letter] = list(movie.start_word)
+    before = [tuple(coloring)]  # before[k]: the colors entering letter k
+    for x in letters:
+        before.append(_push(before[-1], x, q))
     out: list[TriplePoint] = []
     for idx, step in enumerate(movie.steps):
-        if isinstance(step, R3):
-            prefix = BraidWord(movie.degree, tuple(letters[: step.pos]))
-            cols = braid_monodromy(prefix, q, coloring)
-            (i, s), (j, _) = letters[step.pos], letters[step.pos + 1]
-            lo = min(i, j)
-            if s > 0:
-                tp = TriplePoint(step.sign, (cols[lo - 1], cols[lo], cols[lo + 1]))
-            else:
-                window = BraidWord(
-                    movie.degree, tuple(letters[step.pos : step.pos + 3])
-                )
-                after = braid_monodromy(window, q, cols)
-                tp = TriplePoint(
-                    -step.sign, (after[lo - 1], after[lo], after[lo + 1])
-                )
-            out.append(tp)
         apply_step(letters, step, idx)
+        p, kind = step.pos, type(step)
+        if kind is CancelPair:
+            del before[p + 1 : p + 3]  # the colors after the pair were before[p]
+            continue
+        if kind is InsertPair:
+            before[p + 1 : p + 1] = [before[p], before[p]]  # the pair ends where it began
+        before[p + 1] = _push(before[p], letters[p], q)
+        if kind is R3:
+            before[p + 2] = _push(before[p + 1], letters[p + 1], q)
+            (i, s), (j, _) = letters[p], letters[p + 1]
+            lo = min(i, j)
+            cols = before[p] if s > 0 else before[p + 3]
+            out.append(TriplePoint(step.sign * s, cols[lo - 1 : lo + 2]))
     return out
 
 

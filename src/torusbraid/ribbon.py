@@ -155,66 +155,60 @@ def _identity_matrix(k: int) -> Matrix:
     )
 
 
-def _mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    k = len(x)
-    return tuple(
-        tuple(
-            sum((x[i][r] * y[r][j] for r in range(k)), Laurent(()))
-            for j in range(k)
-        )
-        for i in range(k)
-    )
-
-
-def _burau_letter(m: int, i: int, sign: int) -> Matrix:
-    """The reduced Burau matrix of one crossing, size ``(m-1) x (m-1)``."""
-    rows = [list(r) for r in _identity_matrix(m - 1)]
-    r = i - 1
-    if sign > 0:
-        rows[r][r] = Laurent.t_power(1, -1)
-        if i >= 2:
-            rows[r][r - 1] = _T
-        if i <= m - 2:
-            rows[r][r + 1] = _ONE
-    else:
-        rows[r][r] = Laurent.t_power(-1, -1)
-        if i >= 2:
-            rows[r][r - 1] = _ONE
-        if i <= m - 2:
-            rows[r][r + 1] = Laurent.t_power(-1)
-    return tuple(tuple(r_) for r_ in rows)
+_T_INV = Laurent.t_power(-1)
+# row i - 1 of the crossing matrix of s_i^+-1 at columns i - 2, i - 1, i; the rest is I
+_CROSSING_ROW = {1: (_T, -_T, _ONE), -1: (_ONE, -_T_INV, _T_INV)}
 
 
 def reduced_burau(w: BraidWord) -> Matrix:
-    """Product of the crossing matrices of ``w``, taken left to right."""
-    out = _identity_matrix(w.degree - 1)
+    """Product of the ``(m-1) x (m-1)`` crossing matrices of ``w``, left to right.
+
+    A crossing matrix differs from the identity only in row ``r``, so the
+    product gains it by adding multiples of column ``r`` to columns ``r - 1``
+    and ``r + 1`` and scaling column ``r``: O(m) Laurent operations a letter.
+    """
+    k = w.degree - 1
+    out = [list(row) for row in _identity_matrix(k)]
     for i, s in w.letters:
-        out = _mat_mul(out, _burau_letter(w.degree, i, s))
-    return out
+        r = i - 1
+        left, diag, right = _CROSSING_ROW[s]
+        for row in out:
+            x = row[r]
+            if x.terms:
+                if r >= 1:
+                    row[r - 1] = row[r - 1] + x * left
+                if r + 1 < k:
+                    row[r + 1] = row[r + 1] + x * right
+                row[r] = x * diag
+    return tuple(map(tuple, out))
 
 
 def _det(a: Matrix) -> Laurent:
-    k = len(a)
-    if k == 0:
-        return _ONE
-    if k == 1:
-        return a[0][0]
-    total = Laurent(())
-    for r in range(k):
-        if a[r][0].is_zero():
-            continue
-        minor = tuple(a[i][1:] for i in range(k) if i != r)
-        term = a[r][0] * _det(minor)
-        total = total + (term if r % 2 == 0 else -term)
-    return total
+    """Determinant by fraction-free elimination (Bareiss, Math. Comp. 1968):
+    every update divides exactly by the previous pivot."""
+    m = [list(row) for row in a]
+    n, sign, prev = len(m), 1, _ONE
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if m[i][k].terms), None)
+        if pivot is None:
+            return Laurent(())
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
+        prev = m[k][k]
+    det = m[-1][-1] if n else _ONE
+    return det if sign > 0 else -det
 
 
 def alexander_polynomial(beta: BraidWord) -> Laurent:
     """Alexander polynomial of the closure, a knot, from the reduced Burau matrix.
 
-    The determinant of ``burau(beta) - identity`` is rescaled by
-    ``(1 - t) / (1 - t^degree)`` and normalized so the lowest term is the
-    positive constant; the result is the palindromic representative.
+    The determinant of ``burau(beta) - identity``, taken by Bareiss
+    elimination over ``Z[t^+-1]``, is rescaled by ``(1 - t) / (1 - t^degree)``
+    and normalized so the lowest term is the positive constant; the result is
+    the palindromic representative.
     """
     if closure_components(beta) != 1:
         raise PreconditionError("closure is not a knot (multiple components)")

@@ -307,6 +307,21 @@ def test_colorings_past_the_cap_exit_3(capsys):
     assert err == "undecided: coloring search over 7^9 vectors exceeds the cap\n"
 
 
+def test_colorings_cap_counts_colorings_not_vectors(capsys):
+    # 7^10 vectors, but only the 7 constant ones are colorings
+    code, out, _ = run(capsys, "colorings", "-m", "10", "-a", "1 2 3 4 5 6 7 8 9",
+                       "-b", "D^2", "--quandle", "7")
+    assert code == 0
+    assert out.splitlines()[:2] == ["quandle: dihedral 7", "colorings: 7"]
+
+
+def test_tietze_relators_past_the_cap_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(torusbraid.braids, "WORD_CAP", 100)  # the images stay under it
+    code, out, err = run(capsys, "group", "--simplify", *PAIR4)
+    assert (code, out) == (3, "")
+    assert err.startswith("undecided: the Tietze relator total reaches ")
+
+
 def test_pseudo_anosov_relators_past_the_cap_exit_3(capsys):
     # the images of (s1 s2^-1)^16 would reach about 28M letters
     start = time.perf_counter()

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from torusbraid import braids
 from torusbraid.artin import format_free_word, free_word, parse_free_word
 from torusbraid.braids import BraidWord, garside_delta, word
-from torusbraid.errors import PreconditionError
+from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 from torusbraid.presentations import (
     AbelianInvariants,
     abelianization,
@@ -19,6 +20,7 @@ from torusbraid.presentations import (
     dihedral_group,
     finite_quotient_count,
     format_presentation,
+    smith_form,
     smith_invariants,
     symmetric_group,
     tietze_eliminate,
@@ -107,6 +109,34 @@ def test_smith_invariants_against_sympy():
             if snf[i, i] != 0
         ]
         assert ours == theirs
+
+
+def _int_det(a):
+    if not a:
+        return 1
+    return sum((-1) ** r * a[r][0] * _int_det([row[1:] for k, row in enumerate(a) if k != r])
+               for r in range(len(a)) if a[r][0])
+
+
+def test_smith_form_column_transform():
+    # U A V = D: the columns of A V past the rank vanish, and V is unimodular
+    rng = random.Random(77)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        divisors, v = smith_form(mat)
+        assert divisors == smith_invariants(mat)
+        av = [[sum(row[k] * v[k][j] for k in range(cols)) for j in range(cols)] for row in mat]
+        assert all(row[j] == 0 for row in av for j in range(len(divisors), cols))
+        assert abs(_int_det(v)) == 1
+
+
+def test_tietze_relators_past_the_cap_raise_budget_error(monkeypatch):
+    p = torus_covering_group(word(4, [1, 2, 2, 2, 3]), word(4, [1, 2, 3]) ** 4)
+    assert tietze_eliminate(p).rank == 2
+    monkeypatch.setattr(braids, "WORD_CAP", 40)
+    with pytest.raises(SearchBudgetExceeded, match="the Tietze relator total reaches"):
+        tietze_eliminate(p)
 
 
 def test_abelian_invariants_str():

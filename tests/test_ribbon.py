@@ -24,6 +24,7 @@ from torusbraid.ribbon import (
     CableDecomposition,
     Laurent,
     _block_permutation,
+    _det,
     _extract_block,
     alexander_polynomial,
     read_witness,
@@ -68,6 +69,115 @@ def test_burau_inverse_letters():
     for m in (2, 3, 4):
         for i in range(1, m):
             assert reduced_burau(word(m, [i, -i])) == reduced_burau(BraidWord(m, ()))
+
+
+# ---------------------------------------------------------------------------
+# the replaced full-matrix paths, kept as oracles
+# ---------------------------------------------------------------------------
+
+_ZERO, _ONE, _T = Laurent(()), Laurent.const(1), Laurent.t_power(1)
+
+
+def _identity(k):
+    return tuple(tuple(_ONE if i == j else _ZERO for j in range(k)) for i in range(k))
+
+
+def _mat_mul(x, y):
+    k = len(x)
+    return tuple(
+        tuple(sum((x[i][r] * y[r][j] for r in range(k)), _ZERO) for j in range(k))
+        for i in range(k)
+    )
+
+
+def burau_letter(m, i, sign):
+    """The full ``(m-1) x (m-1)`` reduced Burau matrix of one crossing."""
+    rows = [list(r) for r in _identity(m - 1)]
+    r = i - 1
+    rows[r][r] = Laurent.t_power(sign, -1)
+    if i >= 2:
+        rows[r][r - 1] = _T if sign > 0 else _ONE
+    if i <= m - 2:
+        rows[r][r + 1] = _ONE if sign > 0 else Laurent.t_power(-1)
+    return tuple(tuple(row) for row in rows)
+
+
+def burau_product(w):
+    out = _identity(w.degree - 1)
+    for i, s in w.letters:
+        out = _mat_mul(out, burau_letter(w.degree, i, s))
+    return out
+
+
+def cofactor_det(a):
+    """Determinant by cofactor expansion along the first column."""
+    if not a:
+        return _ONE
+    total = _ZERO
+    for r in range(len(a)):
+        if a[r][0].is_zero():
+            continue
+        term = a[r][0] * cofactor_det(tuple(a[i][1:] for i in range(len(a)) if i != r))
+        total = total + (term if r % 2 == 0 else -term)
+    return total
+
+
+def _burau_minus_identity(w):
+    mat, ident = burau_product(w), _identity(w.degree - 1)
+    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(mat, ident))
+
+
+def _random_knot_braid(rng, m):
+    while True:
+        w = word(m, [rng.choice([1, -1]) * rng.randint(1, m - 1)
+                     for _ in range(rng.randint(m - 1, 3 * m))])
+        if closure_components(w) == 1:
+            return w
+
+
+def _check_against_oracles(w):
+    assert reduced_burau(w) == burau_product(w)
+    diff = _burau_minus_identity(w)
+    assert _det(diff) == cofactor_det(diff)
+
+
+def test_burau_and_det_match_oracles_on_random_knot_braids():
+    rng = random.Random(1968)
+    for m in range(2, 8):
+        for _ in range(6):
+            _check_against_oracles(_random_knot_braid(rng, m))
+
+
+@pytest.mark.parametrize("m, n", [(7, 2), (7, 3), (7, 4), (7, 5), (8, 3), (8, 5),
+                                  (9, 2), (9, 4), (9, 5), (10, 3), (10, 7)])
+def test_burau_and_det_match_oracles_on_torus_knots(m, n):
+    # the torus-knot families of the invariants benchmark, one rotation each
+    base = [i for i in range(1, m)] * n
+    r = (3 * m + n) % len(base)
+    w = word(m, base[r:] + base[:r])
+    _check_against_oracles(w)
+    want = ((Laurent.t_power(m * n) - _ONE) * (_T - _ONE)).exact_div(
+        (Laurent.t_power(m) - _ONE) * (Laurent.t_power(n) - _ONE))
+    assert alexander_polynomial(w) == want
+
+
+def test_det_of_singular_and_permuted_matrices():
+    x = Laurent.t_power(2, 3) - _T
+    assert _det(((x, _T), (x * _T, _T * _T))) == _ZERO
+    # a zero pivot forces a row swap
+    m = ((_ZERO, _ONE, _T), (_T, _ZERO, _ONE), (_ONE, x, _ZERO))
+    assert _det(m) == cofactor_det(m)
+    assert _det(()) == _ONE
+
+
+def test_burau_letters_multiply_to_reduced_burau():
+    rng = random.Random(5)
+    for m in (2, 3, 5, 7):
+        letters = [rng.choice([1, -1]) * rng.randint(1, m - 1) for _ in range(12)]
+        acc = _identity(m - 1)
+        for k, x in enumerate(letters, 1):
+            acc = _mat_mul(acc, reduced_burau(word(m, [x])))
+            assert reduced_burau(word(m, letters[:k])) == acc
 
 
 def test_alexander_unknots():
