@@ -182,10 +182,10 @@ def parse_braid(text: str, degree: int) -> BraidWord:
     return BraidWord(degree, tuple(letters))
 
 
-def check_cap(size: int, what: str = "braid word") -> None:
+def check_cap(size: int, what: str = "braid word", unit: str = "letters") -> None:
     if size > WORD_CAP:
         raise SearchBudgetExceeded(
-            f"{what} reaches {size} letters, over the cap of {WORD_CAP}"
+            f"{what} reaches {size} {unit}, over the cap of {WORD_CAP}"
         )
 
 
@@ -255,42 +255,48 @@ def dual_generator(degree: int) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def identity_perm(m: int) -> Perm:
-    return tuple(range(1, m + 1))
-
-
 def _transposition(m: int, i: int) -> Perm:
     p = list(range(1, m + 1))
     p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)
 
 
-def _compose(u: Perm, v: Perm) -> Perm:
-    """u then v: the strand starting at i ends at v(u(i))."""
-    return tuple(v[x - 1] for x in u)
-
-
 def permutation(w: BraidWord) -> Perm:
     """The underlying permutation: entry ``i-1`` is where strand ``i`` ends up."""
-    p = identity_perm(w.degree)
+    at = list(range(1, w.degree + 1))  # at[k]: the strand at position k+1
     for i, _ in w.letters:
-        p = _compose(p, _transposition(w.degree, i))
-    return p
+        at[i - 1], at[i] = at[i], at[i - 1]
+    p = [0] * w.degree
+    for pos, strand in enumerate(at, 1):
+        p[strand - 1] = pos
+    return tuple(p)
+
+
+def orbit_sizes(*perms: Perm) -> list[int]:
+    """Sizes of the orbits of the group that permutations of one degree
+    generate, in the order of their least points.
+
+    >>> orbit_sizes((2, 1, 3, 4), (1, 2, 4, 3))
+    [2, 2]
+    """
+    seen: set[int] = set()
+    sizes: list[int] = []
+    for start in range(1, len(perms[0]) + 1):
+        if start not in seen:
+            orbit, stack = {start}, [start]
+            while stack:
+                x = stack.pop()
+                for y in {p[x - 1] for p in perms} - orbit:
+                    orbit.add(y)
+                    stack.append(y)
+            seen |= orbit
+            sizes.append(len(orbit))
+    return sizes
 
 
 def closure_components(w: BraidWord) -> int:
     """Number of link components of the closure = cycles of the permutation."""
-    p = permutation(w)
-    seen = [False] * w.degree
-    n = 0
-    for i in range(w.degree):
-        if not seen[i]:
-            n += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j] - 1
-    return n
+    return len(orbit_sizes(permutation(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +371,7 @@ def normal_form(w: BraidWord) -> NormalForm:
     m = w.degree
     if m == 1:
         return NormalForm(1, 0, ())
-    ident = identity_perm(m)
+    ident = tuple(range(1, m + 1))
     w0: Perm = tuple(range(m, 0, -1))  # the half-twist permutation i -> m+1-i
     # w = Delta^-r Y_1 ... Y_n: sigma_i^-1 = Delta^-1 (Delta sigma_i^-1), and
     # moving that Delta^-1 to the front conjugates every factor to its left by
@@ -379,7 +385,7 @@ def normal_form(w: BraidWord) -> NormalForm:
             right -= 1
         y = _transposition(m, m - i if right % 2 else i)
         if s < 0:
-            y = _compose(w0, y)
+            y = tuple(y[x - 1] for x in w0)  # w0 then y
             if y == ident:  # Delta*sigma_1^-1 at degree 2
                 continue
         # append Y_j to the left-weighted prefix with one right-to-left pass,
@@ -423,6 +429,17 @@ def is_trivial(w: BraidWord) -> bool:
 def commute_check(a: BraidWord, b: BraidWord) -> bool:
     """True iff ``ab = ba`` in the braid group."""
     return braids_equal(a * b, b * a)
+
+
+def check_pair(a: BraidWord, b: BraidWord) -> None:
+    """Raise :class:`PreconditionError` unless ``(a, b)`` is a commuting pair of
+    one degree, the data of a torus-covering link."""
+    if a.degree != b.degree:
+        raise PreconditionError(f"braid degrees differ: {a.degree} vs {b.degree}")
+    if not commute_check(a, b):
+        raise PreconditionError(
+            "the two braids do not commute, so they do not define a link"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from typing import Union
 from .braids import (
     BraidWord,
     Letter,
+    check_pair,
     commute_check,
     format_braid,
     garside_delta,
@@ -51,6 +52,9 @@ from .errors import (
     PreconditionError,
     SearchBudgetExceeded,
 )
+
+# States a word-rewriting search may settle before it gives up.
+WORD_PATH_STATES = 50_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,7 +197,9 @@ def _periods(letters: tuple[Letter, ...], m: int) -> list[int]:
     ``delta = s1 .. s_{m-1}`` (p = m) or of ``Delta = delta_m delta_{m-1} ..
     delta_1`` (p = m, m-1, .., 1); empty for any other word."""
     r = _power_of(letters, tuple((i, 1) for i in range(1, m)))
-    k = _power_of(letters, garside_delta(m).letters)
+    # Delta has m(m-1)/2 letters: build it only if the word can be a power of it
+    fits = 0 < m * (m - 1) // 2 <= len(letters)
+    k = _power_of(letters, garside_delta(m).letters) if fits else 0
     return [m] * r or list(range(m, 0, -1)) * k
 
 
@@ -264,14 +270,12 @@ def _through_periods(s: int, c: int, periods: list[int]) -> tuple[list[Step], in
     return steps, c
 
 
-def _word_path(
-    start: list[Letter], goal: list[Letter], budget: int
-) -> list[Step] | None:
+def _word_path(start: list[Letter], goal: list[Letter]) -> list[Step] | None:
     """Shortest FarSwap/R3 path between equal-length words, fewest R3 first.
 
     Deterministic 0--1 breadth-first search (far swaps are free, triple
     points cost 1).  Returns None if the goal is unreachable; raises
-    SearchBudgetExceeded if the state budget runs out first.
+    SearchBudgetExceeded past ``WORD_PATH_STATES`` settled states.
     """
     src, dst = tuple(start), tuple(goal)
     if src == dst:
@@ -286,9 +290,9 @@ def _word_path(
         done.add(state)
         if state == dst:
             break
-        if len(done) > budget:
+        if len(done) > WORD_PATH_STATES:
             raise SearchBudgetExceeded(
-                f"word-rewriting search exceeded {budget} states"
+                f"word-rewriting search exceeded {WORD_PATH_STATES} states"
             )
         cost = dist[state][0]
         n = len(state)
@@ -351,7 +355,7 @@ def _slide_one_letter(
             f"letter s{c} does not commute with the second word; "
             f"per-letter sliding does not apply to this pair"
         )
-    path = _word_path([(c, 1), *letters], [*letters, (c, 1)], budget=50_000)
+    path = _word_path([(c, 1), *letters], [*letters, (c, 1)])
     if path is None:
         raise MovieGenerationError(
             f"no far-swap/triple-point rewriting found for s{c} through "
@@ -390,14 +394,7 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
     the pair is outside the generator's reach; the movie returned otherwise is
     validated before being handed back.
     """
-    if a.degree != b.degree:
-        raise PreconditionError(
-            f"braid degrees differ: {a.degree} vs {b.degree}"
-        )
-    if not commute_check(a, b):
-        raise PreconditionError(
-            "the braids do not commute; no movie from ab to ba exists"
-        )
+    check_pair(a, b)
     signs = {s for _, s in a.letters} | {s for _, s in b.letters}
     if signs == {1, -1}:
         raise MovieGenerationError(
@@ -422,7 +419,7 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
         if emerged != list(a.letters):
             # b (emerged) = a b = b a, so the emerged word equals a as a
             # positive braid and far swaps and triple points join the two
-            path = _word_path(emerged, list(a.letters), budget=50_000) or []
+            path = _word_path(emerged, list(a.letters)) or []
             steps.extend(replace(st, pos=st.pos + len(b.letters)) for st in path)
     movie = ChartMovie(m, a, b, tuple(steps))
     validate_movie(movie)

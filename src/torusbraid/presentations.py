@@ -6,8 +6,9 @@ of the associated link complement is generated by the strand meridians
 (Artin action), one pair per strand.  :func:`torus_covering_group` builds that
 presentation; :func:`tietze_eliminate` shrinks it by eliminating generators
 that occur exactly once in some relator; :func:`abelianization` computes the
-integral invariants via Smith normal form over exact integers
-(:func:`torus_abelianization` reads them off a pair's permutations); and
+integral invariants of a presentation via Smith normal form over exact
+integers, while :func:`torus_abelianization` builds no matrix: H_1 of a pair's
+link group is free on the orbits of its strand permutations; and
 :func:`finite_quotient_count` counts homomorphisms onto small finite groups by
 exhaustive enumeration.
 
@@ -31,7 +32,7 @@ from .artin import (
     format_free_word,
     free_reduce,
 )
-from .braids import BraidWord, check_cap, commute_check, normal_form, permutation
+from .braids import BraidWord, check_cap, check_pair, normal_form, orbit_sizes, permutation
 from .errors import PreconditionError, SearchBudgetExceeded
 
 TUPLE_CAP = 10**8
@@ -70,7 +71,7 @@ def torus_covering_group(a: BraidWord, b: BraidWord) -> GroupPresentation:
     Raises a precondition error if the degrees differ or the braids do not
     commute (the pair does not define a surface in that case).
     """
-    _check_pair(a, b)
+    check_pair(a, b)
     m = a.degree
     names = tuple(f"x{j}" for j in range(1, m + 1))
     relators: list[FreeWord] = []
@@ -84,34 +85,22 @@ def torus_covering_group(a: BraidWord, b: BraidWord) -> GroupPresentation:
     return GroupPresentation(names, tuple(relators), {"boundary": boundary_word(m)})
 
 
-def _check_pair(a: BraidWord, b: BraidWord) -> None:
-    if a.degree != b.degree:
-        raise PreconditionError(f"braid degrees differ: {a.degree} vs {b.degree}")
-    if not commute_check(a, b):
-        raise PreconditionError(
-            "the two braids do not commute, so they do not define a link"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Tietze elimination
 # ---------------------------------------------------------------------------
 
 
 def _substitute(w: FreeWord, gi: int, replacement: FreeWord) -> FreeWord:
+    """``w`` with ``x_gi`` replaced and the generators above it renumbered down
+    by one, free-reduced; ``replacement`` is already renumbered."""
     out: list[tuple[int, int]] = []
     inv = replacement.inverse()
     for j, s in w.letters:
         if j == gi:
             out.extend(replacement.letters if s > 0 else inv.letters)
         else:
-            out.append((j, s))
-    return free_reduce(FreeWord(w.rank, tuple(out)))
-
-
-def _drop_generator(w: FreeWord, gi: int) -> FreeWord:
-    letters = tuple((j - 1 if j > gi else j, s) for j, s in w.letters)
-    return FreeWord(w.rank - 1, letters)
+            out.append((j - 1 if j > gi else j, s))
+    return free_reduce(FreeWord(w.rank - 1, tuple(out)))
 
 
 def _clean(relators: list[FreeWord]) -> list[FreeWord]:
@@ -156,21 +145,16 @@ def tietze_eliminate(p: GroupPresentation) -> GroupPresentation:
         if target is None:
             break
         ri, gi = target
-        rel = relators[ri]
+        rel = relators.pop(ri)
         pos = next(k for k, (j, _) in enumerate(rel.letters) if j == gi)
-        j, s = rel.letters[pos]
-        before = FreeWord(rel.rank, rel.letters[:pos])
-        after = FreeWord(rel.rank, rel.letters[pos + 1 :])
-        # u g^s v = 1  =>  g^s = u^-1 v^-1  =>  g = (u^-1 v^-1)^s
-        solved = free_reduce(before.inverse() * after.inverse())
-        replacement = solved if s > 0 else solved.inverse()
-
-        del relators[ri]
+        # u g^s v = 1  =>  g = (v u)^-s; v u has no g, so substituting only
+        # renumbers it
+        vu = FreeWord(rel.rank, rel.letters[pos + 1 :] + rel.letters[:pos])
+        solved = _substitute(vu, gi, FreeWord(rel.rank - 1, ()))
+        replacement = solved.inverse() if rel.letters[pos][1] > 0 else solved
         relators = [_substitute(r, gi, replacement) for r in relators]
         check_cap(sum(len(r.letters) for r in relators), "the Tietze relator total")
         marked = {k: _substitute(v, gi, replacement) for k, v in marked.items()}
-        relators = [_drop_generator(r, gi) for r in relators]
-        marked = {k: _drop_generator(v, gi) for k, v in marked.items()}
         del names[gi - 1]
         relators = _clean(relators)
 
@@ -314,28 +298,24 @@ def abelianization(p: GroupPresentation) -> AbelianInvariants:
         for j, s in rel.letters:
             row[j - 1] += s
         rows.append(row)
-    return _invariants(p.rank, rows)
+    divisors = smith_invariants(rows)
+    return AbelianInvariants(p.rank - len(divisors), tuple(d for d in divisors if d > 1))
 
 
 def torus_abelianization(
     a: BraidWord, b: BraidWord, quotient_center: bool = False
 ) -> AbelianInvariants:
-    """H_1 of :func:`torus_covering_group`, or of its central quotient, with no
-    free word built: a braid sends ``x_j`` to a conjugate of ``x_pi(j)``, so the
-    relator ``x_j^-1 beta(x_j)`` has exponent sums ``e_pi(j) - e_j``, and the
-    word ``W^e`` of :func:`central_twist_relator` has ``e (1, .., 1)``."""
-    _check_pair(a, b)
-    m = a.degree
-    rows = [[(k == pi[j]) - (k == j + 1) for k in range(1, m + 1)]
-            for pi in (permutation(a), permutation(b)) for j in range(m)]
-    if quotient_center:
-        rows.append([_central_exponent(b)] * m)
-    return _invariants(m, rows)
-
-
-def _invariants(rank: int, rows: list[list[int]]) -> AbelianInvariants:
-    divisors = smith_invariants(rows)
-    return AbelianInvariants(rank - len(divisors), tuple(d for d in divisors if d > 1))
+    """H_1 of :func:`torus_covering_group`, or of its central quotient, from
+    the strand orbits: a braid sends ``x_j`` to a conjugate of ``x_pi(j)``, so
+    H_1 is free on the ``c`` orbits of ``<pi_a, pi_b>`` (Kamada, 2002).  The word
+    ``W^e`` of :func:`central_twist_relator` counts ``e`` times an orbit's size
+    on its generator: ``Z^(c-1) + Z/g`` with ``g = |e| gcd(orbit sizes)``."""
+    check_pair(a, b)
+    sizes = orbit_sizes(permutation(a), permutation(b))
+    g = abs(_central_exponent(b)) * gcd(*sizes) if quotient_center else 0
+    if g == 0:
+        return AbelianInvariants(len(sizes), ())
+    return AbelianInvariants(len(sizes) - 1, (g,) if g > 1 else ())
 
 
 def cyclic_hom_count(ab: AbelianInvariants, k: int) -> int:

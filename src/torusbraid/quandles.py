@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, prod
 
-from .braids import BraidWord, Letter
+from .braids import BraidWord, Letter, check_cap, check_pair
 from .errors import PreconditionError, SearchBudgetExceeded
 from .movies import R3, CancelPair, ChartMovie, InsertPair, apply_step, slide_movie
 from .movies import mirror_chart, validate_movie  # noqa: F401  mirror_chart re-exported
@@ -120,15 +120,14 @@ def torus_colorings(
     ``[M_a - I; M_b - I] c = 0 (mod p)``.  With the Smith form ``U A V = D``
     they are ``c = V w`` with ``d_t w_t = 0 (mod p)`` and ``w_t`` free past the
     rank: ``p^(m-r) prod gcd(d_t, p)`` of them for any p >= 2, counted against
-    ``COLORING_CAP`` before any is listed.  A quandle other than R_p is refused.
+    ``COLORING_CAP`` before any is listed.  A quandle other than R_p and a
+    matrix past ``braids.WORD_CAP`` entries are refused before it is built.
     """
-    if a.degree != b.degree:
-        raise PreconditionError(
-            f"braid degrees differ: {a.degree} vs {b.degree}"
-        )
+    check_pair(a, b)
     p, m = q.size, a.degree
     if q.table != dihedral_quandle(p).table:
         raise PreconditionError(f"quandle {q.name or '?'} is not dihedral")
+    check_cap(2 * m * m, "the coloring matrix", "entries")
     rows: list[list[int]] = []
     for beta in (a, b):  # column j of M_beta is the image of e_j
         cols = [braid_monodromy(beta, q, tuple(int(r == j) for r in range(m)))

@@ -22,8 +22,8 @@ from .braids import (
     Letter,
     braids_equal,
     cable_lift,
+    check_pair,
     closure_components,
-    commute_check,
     format_braid,
     iota_embed,
     parse_braid,
@@ -367,19 +367,12 @@ class CableDecomposition:
         return self.block_size * self.block_count
 
 
-def _assemble_horizontal(cd: CableDecomposition) -> BraidWord:
-    n, m = cd.block_size, cd.block_count
-    out = cable_lift(cd.tubular, n)
-    for j in range(m):
-        out = out * iota_embed(cd.interior[j], n * j, n * (m - 1 - j))
-    return out
-
-
-def _assemble_vertical(cd: CableDecomposition) -> BraidWord:
-    n, m = cd.block_size, cd.block_count
-    out = BraidWord(n * m, ())
-    for j in range(m):
-        out = out * iota_embed(cd.vertical[j], n * j, n * (m - 1 - j))
+def _assemble(start: BraidWord, blocks: tuple[BraidWord, ...]) -> BraidWord:
+    """``start`` followed by each ``blocks[j]`` acting inside cable ``j``."""
+    n, m = start.degree // len(blocks), len(blocks)
+    out = start
+    for j, w in enumerate(blocks):
+        out = out * iota_embed(w, n * j, n * (m - 1 - j))
     return out
 
 
@@ -397,9 +390,10 @@ def verify_decomposition(
             f"braid degrees ({a.degree}, {b.degree}) do not match "
             f"{witness.block_size} x {witness.block_count} blocks"
         )
-    return braids_equal(b, _assemble_horizontal(witness)) and braids_equal(
-        a, _assemble_vertical(witness)
-    )
+    n = witness.block_size
+    return braids_equal(
+        b, _assemble(cable_lift(witness.tubular, n), witness.interior)
+    ) and braids_equal(a, _assemble(BraidWord(witness.degree, ()), witness.vertical))
 
 
 def _extract_block(w: BraidWord, keep: frozenset[int]) -> BraidWord:
@@ -494,8 +488,7 @@ def ribbon_verdict(
         raise PreconditionError(
             f"braid degrees ({a.degree}, {b.degree}) do not match {n} x {m} blocks"
         )
-    if not commute_check(a, b):
-        raise PreconditionError("the two braids do not commute")
+    check_pair(a, b)
     if witness is None:
         witness = search_decomposition(a, b, n, m)
         if witness is None:

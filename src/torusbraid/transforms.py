@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord, commute_check
+from .braids import BraidWord, check_pair
 from .errors import PreconditionError
+from .presentations import smith_invariants
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,8 +31,7 @@ class ChartData:
                 f"braid degrees ({self.a.degree}, {self.b.degree}) do not "
                 f"match the chart degree {self.degree}"
             )
-        if not commute_check(self.a, self.b):
-            raise PreconditionError("boundary braids do not commute")
+        check_pair(self.a, self.b)
 
 
 def rho(c: ChartData) -> ChartData:
@@ -68,15 +68,6 @@ ROTATION_BASIS_ACTION: Matrix3 = ((1, 0, 0), (0, 0, -1), (0, 1, 0))
 TURNING_BASIS_ACTION: Matrix3 = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
 
 
-def det3(m: Matrix3) -> int:
-    """Determinant of a 3x3 integer matrix."""
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def _as_matrix3(m) -> Matrix3:
     rows = tuple(tuple(row) for row in m)
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
@@ -88,20 +79,12 @@ def _as_matrix3(m) -> Matrix3:
     return rows
 
 
-def mat_mul3(x: Matrix3, y: Matrix3) -> Matrix3:
-    """Product of two 3x3 integer matrices."""
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
 def h_membership(m) -> bool:
     """Whether a basis change preserves the first basis vector and framing parity.
 
-    True iff the matrix is in GL(3, Z) (determinant ``+-1``), its first row
-    is ``(+-1, 0, 0)``, and the four lower-right entries sum to an even
-    number.
+    True iff the matrix is in GL(3, Z) (its Smith form is the identity, which
+    for a square integer matrix means determinant ``+-1``), its first row is
+    ``(+-1, 0, 0)``, and the four lower-right entries sum to an even number.
 
     >>> h_membership(((1, 0, 0), (0, 0, -1), (0, 1, 0)))
     True
@@ -111,7 +94,7 @@ def h_membership(m) -> bool:
     True
     """
     mm = _as_matrix3(m)
-    if det3(mm) not in (1, -1):
+    if smith_invariants(mm) != [1, 1, 1]:
         return False
     if mm[0] not in ((1, 0, 0), (-1, 0, 0)):
         return False

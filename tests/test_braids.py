@@ -17,6 +17,7 @@ from torusbraid.braids import (
     _left_weight_pair,
     braids_equal,
     cable_lift,
+    check_pair,
     closure_components,
     commute_check,
     dual_generator,
@@ -26,6 +27,7 @@ from torusbraid.braids import (
     is_trivial,
     n_prime_sigma1,
     normal_form,
+    orbit_sizes,
     parse_braid,
     permutation,
     word,
@@ -125,6 +127,23 @@ def test_permutation_and_closure():
     assert closure_components(garside_delta(4) ** 2) == 4
 
 
+def test_orbit_sizes_join_the_cycles_of_every_permutation():
+    assert orbit_sizes((1, 2, 3)) == [1, 1, 1]
+    assert orbit_sizes((2, 1, 3, 4), (1, 2, 4, 3)) == [2, 2]
+    assert orbit_sizes((2, 1, 3, 4), (1, 3, 2, 4)) == [3, 1]
+    assert orbit_sizes((1, 3, 2), (3, 2, 1)) == [3]
+    rng = random.Random(3)
+    for _ in range(200):
+        m = rng.randint(1, 9)
+        perms = [tuple(rng.sample(range(1, m + 1), m)) for _ in range(rng.randint(1, 3))]
+        # orbit of 1: the points reachable from 1, found by closing up one set
+        orbit = {1}
+        while (grown := orbit | {p[x - 1] for p in perms for x in orbit}) != orbit:
+            orbit = grown
+        sizes = orbit_sizes(*perms)
+        assert sizes[0] == len(orbit) and sum(sizes) == m
+
+
 # ---------------------------------------------------------------------------
 # normal forms
 # ---------------------------------------------------------------------------
@@ -174,6 +193,14 @@ def test_central_square():
         d2 = garside_delta(m) ** 2
         for i in range(1, m):
             assert commute_check(d2, word(m, [i]))
+
+
+def test_check_pair_refuses_what_defines_no_link():
+    check_pair(word(4, [1]), word(4, [3]))
+    with pytest.raises(PreconditionError, match="braid degrees differ: 3 vs 4"):
+        check_pair(word(3, [1]), word(4, [1]))
+    with pytest.raises(PreconditionError, match="do not commute, so they do not define a link"):
+        check_pair(word(3, [1]), word(3, [2]))
 
 
 def test_commute_check():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusbraid
 from torusbraid.cli import SCHEMA, main
@@ -157,6 +161,20 @@ GOLDEN = [
         "",
         "error: the two braids do not commute, so they do not define a link\n",
         id="noncommuting",
+    ),
+    pytest.param(
+        ["colorings", "-m", "3", "-a", "1", "-b", "2"], 2,
+        "",
+        "",
+        "error: the two braids do not commute, so they do not define a link\n",
+        id="colorings-noncommuting",
+    ),
+    pytest.param(
+        ["cocycle", "-m", "3", "-a", "1", "-b", "2"], 2,
+        "",
+        "",
+        "error: the two braids do not commute, so they do not define a link\n",
+        id="cocycle-noncommuting",
     ),
 ]
 
@@ -307,6 +325,26 @@ def test_colorings_past_the_cap_exit_3(capsys):
     assert err == "undecided: coloring search over 7^9 vectors exceeds the cap\n"
 
 
+@pytest.mark.parametrize("command", ["colorings", "cocycle"])
+def test_coloring_matrix_past_the_cap_exits_3(capsys, command):
+    start = time.perf_counter()
+    for m, entries in (("1000", 2 * 10**6), ("100000", 2 * 10**10)):
+        code, out, err = run(capsys, command, "-m", m, "-a", "e", "-b", "e")
+        assert (code, out) == (3, "")
+        assert err == (f"undecided: the coloring matrix reaches {entries} entries, "
+                       "over the cap of 1000000\n")
+    assert time.perf_counter() - start < 2.0
+
+
+def test_coloring_matrix_cap_is_the_word_cap(capsys, monkeypatch):
+    monkeypatch.setattr(torusbraid.braids, "WORD_CAP", 17)
+    code, out, _ = run(capsys, "colorings", "-m", "2", "-a", "1", "-b", "1")
+    assert (code, out.splitlines()[1]) == (0, "colorings: 3")
+    code, out, err = run(capsys, "colorings", "-m", "3", "-a", "1", "-b", "1")
+    assert (code, out) == (3, "")
+    assert err == "undecided: the coloring matrix reaches 18 entries, over the cap of 17\n"
+
+
 def test_colorings_cap_counts_colorings_not_vectors(capsys):
     # 7^10 vectors, but only the 7 constant ones are colorings
     code, out, _ = run(capsys, "colorings", "-m", "10", "-a", "1 2 3 4 5 6 7 8 9",
@@ -337,6 +375,16 @@ def test_pseudo_anosov_abelianization_builds_no_relators(capsys):
     code, out, _ = run(capsys, "abelianization", "-m", "3", "-a", "(1 -2)^16", "-b", "(1 -2)^16")
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (0, "Z\n")
+
+
+def test_abelianization_reads_orbits_at_high_degree(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "abelianization", "-m", "100000", "-a", "e", "-b", "e")
+    assert (code, out) == (0, "Z^100000\n")
+    cycle = " ".join(map(str, range(1, 600)))
+    code, out, _ = run(capsys, "abelianization", "-m", "600", "-a", cycle, "-b", "e")
+    assert (code, out) == (0, "Z\n")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_quotients_rejects_unknown_group(capsys):
@@ -495,3 +543,51 @@ def test_cli_import_starts_no_process_machinery():
     out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert out.decode().strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# no input ends in a traceback
+# ---------------------------------------------------------------------------
+
+_TOKENS = st.one_of(
+    st.integers(-6, 6).map(str),  # 0 and letters past the degree included
+    st.integers(-2, 2).map(lambda k: f"D^{k}"),
+    st.sampled_from(["x", "(", ")", "e", "s2^-1", "^2", "D^x"]),
+    st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=3).flatmap(
+        lambda g: st.integers(-2, 2).map(lambda k: f"({' '.join(map(str, g))})^{k}")),
+)
+_WORDS = st.lists(_TOKENS, max_size=4).map(" ".join)
+_OPTIONS = {
+    "group": st.sampled_from([[], ["--simplify"]]),
+    "abelianization": st.sampled_from([[], ["--quotient-center"]]),
+    "quotients": st.sampled_from(["Z2", "Z3", "S3", "D1", "Q8", "Zx"]).map(
+        lambda g: ["--group", g]),
+    "colorings": st.integers(-1, 7).map(lambda p: ["--quandle", str(p)]),
+    "cocycle": st.just([]),
+    "ribbon": st.tuples(st.integers(-1, 3), st.integers(-1, 3)).map(
+        lambda nm: ["--block-size", str(nm[0]), "--block-count", str(nm[1])]),
+    "transform": st.sampled_from([["rho"], ["tau"], ["spin"]]),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from([*_OPTIONS, "h-member"]))
+    if command == "h-member":
+        entries = draw(st.lists(st.sampled_from(["0", "1", "-1", "2", "x"]), max_size=10))
+        return [command, "--matrix", " ".join(entries)]
+    pair = ["-m", str(draw(st.integers(-1, 6))), "-a", draw(_WORDS), "-b", draw(_WORDS)]
+    return [command, *pair, *draw(_OPTIONS[command]), *draw(st.sampled_from([[], ["--json"]]))]
+
+
+@settings(deadline=None, max_examples=500)
+@given(_argv())
+def test_no_input_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the usage
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -178,18 +178,28 @@ def _word_path_abelianization(a, b, quotient_center):
     return abelianization(tietze_eliminate(p))
 
 
+def _flip_invariant_word(rng, m):
+    """A random braid fixed by conjugation with Delta (s_i <-> s_(m-i)), so it
+    commutes with every power of Delta."""
+    letters = []
+    for _ in range(rng.randint(0, 3) if m > 1 else 0):
+        i, e = rng.randint(1, m - 1), rng.choice([1, -1])
+        block = [i] if 2 * i == m else [i, m - i] if abs(m - 2 * i) > 1 else [i, m - i, i]
+        letters += [e * x for x in block]
+    return word(m, letters)
+
+
 def test_abelianization_from_permutations_matches_the_relators():
     rng = random.Random(31)
     cases = 0
-    for m in range(1, 7):
+    for m in range(1, 9):
         delta = garside_delta(m)
-        symmetric = word(m, [1, m - 1]) if m > 1 else BraidWord(1, ())
-        for _ in range(25):
+        for _ in range(20):
             w = word(m, [rng.choice([1, -1]) * rng.randint(1, m - 1)
                          for _ in range(rng.randint(0, 6) if m > 1 else 0)])
             j, k = rng.randint(-2, 3), rng.randint(-2, 3)
-            pairs = [(w**j, w**k), (w, delta ** (2 * k)), (symmetric**j, delta**k),
-                     (delta**j, delta**k)]
+            pairs = [(w**j, w**k), (w, w**k), (w, delta ** (2 * k)), (w, delta**k),
+                     (_flip_invariant_word(rng, m) ** j, delta**k), (delta**j, delta**k)]
             for a, b in pairs:
                 for center in (False, True):
                     try:
@@ -200,7 +210,7 @@ def test_abelianization_from_permutations_matches_the_relators():
                         continue
                     assert torus_abelianization(a, b, center) == want
                     cases += 1
-    assert cases > 800
+    assert cases > 1200
 
 
 # ---------------------------------------------------------------------------

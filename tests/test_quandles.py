@@ -119,6 +119,12 @@ def test_coloring_requires_matching_degrees():
         torus_colorings(word(2, [1]), word(3, [1]), q)
 
 
+def test_coloring_requires_a_commuting_pair():
+    # (s1, s2) has colorings fixed by both, but defines no link
+    with pytest.raises(PreconditionError, match="do not commute"):
+        torus_colorings(word(3, [1]), word(3, [2]), dihedral_quandle(3))
+
+
 def test_mochizuki_values():
     assert mochizuki_theta(2, 1, 2) == 1
     assert mochizuki_theta(1, 2, 0) == 0

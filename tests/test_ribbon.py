@@ -307,6 +307,11 @@ def test_verify_trivial_pair():
     assert verify_decomposition(BraidWord(2, ()), BraidWord(2, ()), triv)
 
 
+def test_ribbon_verdict_requires_a_commuting_pair():
+    with pytest.raises(PreconditionError, match="do not commute"):
+        ribbon_verdict(word(4, [1]), word(4, [2]), 2, 2)
+
+
 def test_verify_dimension_mismatch():
     with pytest.raises(PreconditionError):
         verify_decomposition(word(2, [1]), word(2, [1]), _example_witness())
