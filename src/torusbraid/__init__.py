@@ -51,6 +51,7 @@ from .movies import (
     InsertPair,
     R3,
     apply_step,
+    mirror_chart,
     r3_window_sign,
     read_movie,
     slide_movie,
@@ -82,10 +83,8 @@ from .quandles import (
     TriplePoint,
     boltzmann_exponent,
     braid_monodromy,
-    check_quandle,
     cocycle_invariant,
     dihedral_quandle,
-    mirror_chart,
     mochizuki_theta,
     torus_colorings,
     triple_points,

@@ -364,13 +364,14 @@ def _slide_one_letter(
     return [replace(st, pos=st.pos + s) for st in path], c
 
 
-def _reversed(movie: ChartMovie) -> list[Step]:
-    """The movie of ``(rev(a), rev(b))``: ``movie`` on reversed words, read
-    backwards.  Triple points change sign, and insertions and cancellations
-    trade places."""
-    letters = list(movie.start_word)
+def _reversed(start: tuple[Letter, ...], steps: list[Step]) -> list[Step]:
+    """The steps of ``(rev(a), rev(b))`` from the steps that take ``start =
+    a b`` to ``b a``: the same steps on reversed words, read backwards.
+    Triple points change sign, and insertions and cancellations trade
+    places."""
+    letters = list(start)
     out: list[Step] = []
-    for st in movie.steps:
+    for st in steps:
         n = len(letters)
         if isinstance(st, FarSwap):
             out.append(FarSwap(n - 2 - st.pos))
@@ -395,35 +396,40 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
     validated before being handed back.
     """
     check_pair(a, b)
+    movie = ChartMovie(a.degree, a, b, tuple(_slide_steps(a, b)))
+    validate_movie(movie)
+    return movie
+
+
+def _slide_steps(a: BraidWord, b: BraidWord) -> list[Step]:
+    """The steps of :func:`slide_movie` for a pair already known to commute;
+    the mirror and the reversed pair commute too, so recursion checks none."""
     signs = {s for _, s in a.letters} | {s for _, s in b.letters}
     if signs == {1, -1}:
         raise MovieGenerationError(
             "mixed-sign pairs are not supported by the slide generator"
         )
+    if signs == {-1}:
+        return [
+            st if isinstance(st, (FarSwap, CancelPair)) else replace(st, sign=-st.sign)
+            for st in _slide_steps(*mirror_chart(a, b))
+        ]
     m = a.degree
     periods = _periods(b.letters, m)
-    if signs == {-1}:
-        positive = slide_movie(*mirror_chart(a, b))
-        steps = [
-            st if isinstance(st, (FarSwap, CancelPair)) else replace(st, sign=-st.sign)
-            for st in positive.steps
-        ]
-    elif not periods and _periods(b.letters[::-1], m):
-        steps = _reversed(slide_movie(a.reverse(), b.reverse()))
-    else:
-        steps, emerged = [], list(a.letters)
-        for k in range(len(a.letters) - 1, -1, -1):
-            st, e = _slide_one_letter(a.letters[k][0], b, periods, k)
-            steps.extend(st)
-            emerged[k] = (e, 1)
-        if emerged != list(a.letters):
-            # b (emerged) = a b = b a, so the emerged word equals a as a
-            # positive braid and far swaps and triple points join the two
-            path = _word_path(emerged, list(a.letters)) or []
-            steps.extend(replace(st, pos=st.pos + len(b.letters)) for st in path)
-    movie = ChartMovie(m, a, b, tuple(steps))
-    validate_movie(movie)
-    return movie
+    if not periods and _periods(b.letters[::-1], m):
+        ar, br = a.reverse(), b.reverse()
+        return _reversed((ar * br).letters, _slide_steps(ar, br))
+    steps, emerged = [], list(a.letters)
+    for k in range(len(a.letters) - 1, -1, -1):
+        st, e = _slide_one_letter(a.letters[k][0], b, periods, k)
+        steps.extend(st)
+        emerged[k] = (e, 1)
+    if emerged != list(a.letters):
+        # b (emerged) = a b = b a, so the emerged word equals a as a
+        # positive braid and far swaps and triple points join the two
+        path = _word_path(emerged, list(a.letters)) or []
+        steps.extend(replace(st, pos=st.pos + len(b.letters)) for st in path)
+    return steps
 
 
 def mirror_chart(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord]:

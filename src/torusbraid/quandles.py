@@ -1,19 +1,21 @@
-"""Quandle colorings, triple points, and the degree-3 cocycle invariant.
+"""Dihedral-quandle colorings, triple points, and the degree-3 cocycle invariant.
 
 A quandle is a set with a binary operation ``x * y`` ("x pushed through y")
-that is idempotent, right-invertible, and self-distributive.  The dihedral
-quandle R_p lives on Z/p with ``x * y = 2y - x``.
+that is idempotent, right-invertible, and self-distributive.  The only
+quandles here are the dihedral ones: R_p lives on Z/p with ``x * y = 2y - x``
+and is given by p alone.  R_p is involutory, ``(x * y) * y = x``, so the right
+division is the operation itself.
 
 Colorings.  A braid of degree m acts on color vectors ``(c_1 .. c_m)`` one
 letter at a time:
 
     sigma_i:     (.., c_i, c_{i+1}, ..) -> (.., c_{i+1}, c_i * c_{i+1}, ..)
-    sigma_i^-1:  (.., u, v, ..)         -> (.., v *~ u, u, ..)
+    sigma_i^-1:  (.., u, v, ..)         -> (.., v * u, u, ..)
 
-where ``*~`` is the right division (in dihedral quandles ``*~`` equals ``*``).
 A coloring of a commuting pair ``(a, b)`` is a vector fixed by both actions.
-In R_p the action is linear, so :func:`torus_colorings` lists the colorings
-as the kernel mod p of an integer matrix, from its Smith normal form.
+The action is linear, so :func:`torus_colorings` lists the colorings as the
+kernel mod p of an integer matrix, from its Smith normal form, after counting
+them: a listing past ``braids.WORD_CAP`` entries (colorings times m) is refused.
 
 Weights.  Every triple point of a movie (an R3 step) picks up the Mochizuki
 3-cocycle value ``theta(x, y, z) = (x-y)(y-z)z(x+z)`` over Z/3 at the colors
@@ -26,68 +28,33 @@ which movie realizes the pair, only on the pair itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, prod
 
+from . import braids
 from .braids import BraidWord, Letter, check_cap, check_pair
 from .errors import PreconditionError, SearchBudgetExceeded
-from .movies import R3, CancelPair, ChartMovie, InsertPair, apply_step, slide_movie
-from .movies import mirror_chart, validate_movie  # noqa: F401  mirror_chart re-exported
+from .movies import R3, CancelPair, ChartMovie, InsertPair, apply_step
+from .movies import slide_movie, validate_movie
 from .presentations import smith_form
-
-COLORING_CAP = 10**7
 
 
 @dataclass(frozen=True, slots=True)
 class Quandle:
-    """Finite quandle on ``{0 .. size-1}`` given by its operation table."""
+    """The dihedral quandle R_p on ``{0 .. size-1}``, given by its order p."""
 
     size: int
-    table: tuple[tuple[int, ...], ...]
-    name: str = ""
-    _right_div: tuple[dict[int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:  # check_quandle, not this, judges the table
-        right_div = tuple({x: z for z, x in enumerate(col)} for col in zip(*self.table))
-        object.__setattr__(self, "_right_div", right_div)  # [y][x]: the z with z * y = x
 
     def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def op_inv(self, x: int, y: int) -> int:
-        """The unique z with ``z * y = x``."""
-        return self._right_div[y][x]
-
-
-def check_quandle(q: Quandle) -> None:
-    """Raise a precondition error unless the three quandle axioms hold."""
-    n = q.size
-    if len(q.table) != n or any(len(row) != n for row in q.table):
-        raise PreconditionError("quandle table is not square")
-    for x in range(n):
-        if q.op(x, x) != x:
-            raise PreconditionError(f"not idempotent at {x}")
-    for y in range(n):
-        seen = {q.op(x, y) for x in range(n)}
-        if len(seen) != n:
-            raise PreconditionError(f"right translation by {y} not bijective")
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if q.op(q.op(x, y), z) != q.op(q.op(x, z), q.op(y, z)):
-                    raise PreconditionError(
-                        f"self-distributivity fails at ({x}, {y}, {z})"
-                    )
+        """``x * y = 2y - x``, which is also the z with ``z * y = x``."""
+        return (2 * y - x) % self.size
 
 
 def dihedral_quandle(p: int) -> Quandle:
     """R_p on Z/p with ``x * y = 2y - x`` (any p >= 2, primes or not)."""
     if p < 2:
         raise PreconditionError("dihedral quandle needs p >= 2")
-    table = tuple(
-        tuple((2 * y - x) % p for y in range(p)) for x in range(p)
-    )
-    return Quandle(p, table, f"R{p}")
+    return Quandle(p)
 
 
 def braid_monodromy(
@@ -107,7 +74,7 @@ def braid_monodromy(
 def _push(c: tuple[int, ...], letter: Letter, q: Quandle) -> tuple[int, ...]:
     i, s = letter
     u, v = c[i - 1], c[i]
-    return c[: i - 1] + ((v, q.op(u, v)) if s > 0 else (q.op_inv(v, u), u)) + c[i + 1 :]
+    return c[: i - 1] + ((v, q.op(u, v)) if s > 0 else (q.op(v, u), u)) + c[i + 1 :]
 
 
 def torus_colorings(
@@ -119,14 +86,17 @@ def torus_colorings(
     ``sigma_i^-1`` by ``(u, v) -> (2u - v, u)``, so the colorings solve
     ``[M_a - I; M_b - I] c = 0 (mod p)``.  With the Smith form ``U A V = D``
     they are ``c = V w`` with ``d_t w_t = 0 (mod p)`` and ``w_t`` free past the
-    rank: ``p^(m-r) prod gcd(d_t, p)`` of them for any p >= 2, counted against
-    ``COLORING_CAP`` before any is listed.  A quandle other than R_p and a
-    matrix past ``braids.WORD_CAP`` entries are refused before it is built.
+    rank: ``p^(m-r) prod gcd(d_t, p)`` of them for any p >= 2.  A matrix past
+    ``braids.WORD_CAP`` entries is refused before it is built, and a listing
+    past that many entries (colorings times m) before any coloring is listed.
     """
     check_pair(a, b)
+    return _colorings(a, b, q)
+
+
+def _colorings(a: BraidWord, b: BraidWord, q: Quandle) -> list[tuple[int, ...]]:
+    """:func:`torus_colorings` of a pair already known to commute."""
     p, m = q.size, a.degree
-    if q.table != dihedral_quandle(p).table:
-        raise PreconditionError(f"quandle {q.name or '?'} is not dihedral")
     check_cap(2 * m * m, "the coloring matrix", "entries")
     rows: list[list[int]] = []
     for beta in (a, b):  # column j of M_beta is the image of e_j
@@ -135,7 +105,7 @@ def torus_colorings(
         rows += [[c[r] - (r == j) for j, c in enumerate(cols)] for r in range(m)]
     divisors, v = smith_form(rows)
     counts = [gcd(d, p) for d in divisors] + [p] * (m - len(divisors))
-    if prod(counts) > COLORING_CAP:
+    if prod(counts) * m > braids.WORD_CAP:
         rest = prod(n for n in counts if n < p)
         size = f"{p}^{counts.count(p)}" + (f" * {rest}" if rest > 1 else "")
         raise SearchBudgetExceeded(f"coloring search over {size} vectors exceeds the cap")
@@ -276,7 +246,9 @@ def cocycle_invariant(
 
     A movie may be supplied (it is validated and must belong to the pair);
     otherwise :func:`slide_movie` generates one.  The value is independent of
-    the choice of movie.
+    the choice of movie.  Either way the pair is checked once: a generated
+    movie checks it, and a valid movie proves ``ab = ba``, since every step
+    is a braid relation or a free cancellation.
     """
     q = dihedral_quandle(3)
     if movie is None:
@@ -286,7 +258,7 @@ def cocycle_invariant(
             raise PreconditionError("movie belongs to a different pair")
         validate_movie(movie)
     total = GroupRingElement.zero()
-    for coloring in torus_colorings(a, b, q):
+    for coloring in _colorings(a, b, q):
         w = boltzmann_exponent(triple_points(movie, coloring, q))
         total = total + GroupRingElement.monomial(w)
     return total

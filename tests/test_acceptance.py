@@ -28,7 +28,7 @@ from torusbraid.braids import (
     normal_form,
     word,
 )
-from torusbraid.movies import read_movie, slide_movie
+from torusbraid.movies import mirror_chart, read_movie, slide_movie
 from torusbraid.presentations import (
     abelianization,
     add_relator,
@@ -38,10 +38,8 @@ from torusbraid.presentations import (
 )
 from torusbraid.quandles import (
     boltzmann_exponent,
-    check_quandle,
     cocycle_invariant,
     dihedral_quandle,
-    mirror_chart,
     mochizuki_theta,
     torus_colorings,
     triple_points,
@@ -218,7 +216,11 @@ def test_criterion_09_property_suites():
 
     # quandle axioms, exhaustively checked for three dihedral orders
     for p in (3, 5, 7):
-        check_quandle(dihedral_quandle(p))
+        q, xs = dihedral_quandle(p), range(p)
+        assert all(q.op(x, x) == x for x in xs)
+        assert all(sorted(q.op(x, y) for x in xs) == list(xs) for y in xs)
+        assert all(q.op(q.op(x, y), z) == q.op(q.op(x, z), q.op(y, z))
+                   for x in xs for y in xs for z in xs)
 
     # normal form is constant on 1000 random defining-relation insertions
     for _ in range(1000):

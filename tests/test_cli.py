@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -323,6 +324,41 @@ def test_colorings_past_the_cap_exit_3(capsys):
     code, out, err = run(capsys, "colorings", "-m", "9", "-a", "e", "-b", "e", "--quandle", "7")
     assert (code, out) == (3, "")
     assert err == "undecided: coloring search over 7^9 vectors exceeds the cap\n"
+
+
+def test_colorings_of_a_large_quandle_build_no_table(capsys):
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "colorings", "-m", "3", "-a", "1 2", "-b", "1 2",
+                           "--quandle", "2000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out.splitlines()[1]) == (0, "colorings: 2000")
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["-m", "3", "-a", "1 2", "-b", "1 2", "--quandle", "20000000"], "20000000^1"),
+    (["-m", "13", "-a", "e", "-b", "e"], "3^13"),
+])
+def test_coloring_entries_past_the_cap_exit_3(capsys, argv, size):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "colorings", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"undecided: coloring search over {size} vectors exceeds the cap\n"
+
+
+def test_coloring_entries_cap_counts_colorings_times_degree(capsys, monkeypatch):
+    argv = ["colorings", "-m", "2", "-a", "1", "-b", "1", "--quandle", "7"]
+    monkeypatch.setattr(torusbraid.braids, "WORD_CAP", 14)  # 7 colorings of 2 entries
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[1]) == (0, "colorings: 7")
+    monkeypatch.setattr(torusbraid.braids, "WORD_CAP", 13)  # the 8-entry matrix still fits
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "undecided: coloring search over 7^1 vectors exceeds the cap\n"
 
 
 @pytest.mark.parametrize("command", ["colorings", "cocycle"])

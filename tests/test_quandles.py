@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torusbraid.braids
+import torusbraid.movies
+import torusbraid.quandles
 from torusbraid.braids import BraidWord, garside_delta, word
 from torusbraid.errors import PreconditionError
 from torusbraid.movies import (
@@ -17,19 +20,17 @@ from torusbraid.movies import (
     CancelPair,
     InsertPair,
     apply_step,
+    mirror_chart,
     read_movie,
     slide_movie,
 )
 from torusbraid.quandles import (
     GroupRingElement,
-    Quandle,
     TriplePoint,
     boltzmann_exponent,
     braid_monodromy,
-    check_quandle,
     cocycle_invariant,
     dihedral_quandle,
-    mirror_chart,
     mochizuki_theta,
     torus_colorings,
     triple_points,
@@ -66,31 +67,37 @@ EXPECTED_TRIPLES = (
 )
 
 
+def assert_quandle_axioms(q):
+    """Idempotent, right-invertible and self-distributive, checked exhaustively."""
+    xs = range(q.size)
+    assert all(q.op(x, x) == x for x in xs)
+    assert all(sorted(q.op(x, y) for x in xs) == list(xs) for y in xs)
+    assert all(q.op(q.op(x, y), z) == q.op(q.op(x, z), q.op(y, z))
+               for x in xs for y in xs for z in xs)
+
+
 def test_dihedral_axioms():
     for p in (2, 3, 5, 7, 9):
-        check_quandle(dihedral_quandle(p))  # raises on any axiom violation
+        assert_quandle_axioms(dihedral_quandle(p))
 
 
-def test_check_quandle_rejects_broken_table():
-    # constant rows break idempotency except on the fixed element
-    broken = Quandle(3, ((0, 0, 0), (0, 0, 0), (0, 0, 0)), "broken")
-    with pytest.raises(PreconditionError):
-        check_quandle(broken)
-
-
-def test_right_division_table_matches_column_scan():
+def test_dihedral_operation_is_its_own_right_division():
+    # so a negative crossing pushes colors with the operation too
     for p in range(2, 10):
         q = dihedral_quandle(p)
-        for x in range(p):
-            for y in range(p):
-                assert q.op_inv(x, y) == [q.op(z, y) for z in range(p)].index(x)
+        assert all(q.op(q.op(x, y), y) == x for x in range(p) for y in range(p))
+
+
+def test_dihedral_quandle_needs_p_at_least_2():
+    for p in (-1, 0, 1):
+        with pytest.raises(PreconditionError, match="p >= 2"):
+            dihedral_quandle(p)
 
 
 def test_dihedral_operation_values():
     q = dihedral_quandle(3)
     assert q.op(0, 1) == 2  # 2*1 - 0 mod 3
     assert q.op(2, 2) == 2
-    assert q.op_inv(q.op(1, 2), 2) == 1
 
 
 def test_monodromy_positive_and_negative():
@@ -99,6 +106,13 @@ def test_monodromy_positive_and_negative():
     assert braid_monodromy(word(2, [1]), q, (0, 1)) == (1, 2)
     # and the negative crossing undoes it
     assert braid_monodromy(word(2, [-1]), q, (1, 2)) == (0, 1)
+    # (u, v) -> (v * u, u) = (2u - v, u); R_3 cannot tell it from (u * v, u)
+    assert braid_monodromy(word(2, [-1]), dihedral_quandle(5), (1, 2)) == (0, 1)
+    for p in range(2, 10):
+        q = dihedral_quandle(p)
+        for c in itertools.product(range(p), repeat=2):
+            assert braid_monodromy(word(2, [1, -1]), q, c) == c
+            assert braid_monodromy(word(2, [-1, 1]), q, c) == c
 
 
 def test_coloring_census_frozen():
@@ -194,9 +208,41 @@ def test_mirror_is_conjugate_elsewhere():
         assert cocycle_invariant(am, bm) == phi.conjugate()
 
 
-def test_cocycle_with_supplied_movie_matches():
+def _count_calls(monkeypatch, name, modules):
+    """Count the calls of ``name`` made through the given modules."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("a, b", [
+    (ACCEPT_A, ACCEPT_B),
+    mirror_chart(ACCEPT_A, ACCEPT_B),
+    (word(4, [3, 2]), word(4, [3, 2, 1]) ** 4),  # b reversed is delta^4
+])
+def test_cocycle_checks_the_pair_and_validates_the_movie_once(monkeypatch, a, b):
+    commutes = _count_calls(monkeypatch, "commute_check", [torusbraid.braids, torusbraid.movies])
+    validations = _count_calls(monkeypatch, "validate_movie",
+                               [torusbraid.movies, torusbraid.quandles])
+    cocycle_invariant(a, b)
+    assert (len(commutes), len(validations)) == (1, 1)
+
+
+def test_cocycle_with_supplied_movie_matches(monkeypatch):
     fixture = read_movie(FIXTURE)
+    commutes = _count_calls(monkeypatch, "commute_check", [torusbraid.braids, torusbraid.movies])
+    validations = _count_calls(monkeypatch, "validate_movie",
+                               [torusbraid.movies, torusbraid.quandles])
     assert cocycle_invariant(ACCEPT_A, ACCEPT_B, movie=fixture).coeffs == (3, 0, 6)
+    # the valid movie proves ab = ba, so the pair is not checked again
+    assert (len(commutes), len(validations)) == (0, 1)
 
 
 def test_cocycle_rejects_foreign_movie():
@@ -305,13 +351,6 @@ def test_colorings_with_divisors_not_dividing_p(letters, p):
     # gives gcd(d_t, p) choices of w_t, not min(d_t, p)
     a, b, q = word(4, letters), garside_delta(4) ** 2, dihedral_quandle(p)
     assert torus_colorings(a, b, q) == exhaustive_colorings(a, b, q)
-
-
-def test_colorings_refuse_a_non_dihedral_quandle():
-    trivial = Quandle(3, tuple(tuple(x for _ in range(3)) for x in range(3)), "T3")
-    check_quandle(trivial)  # x * y = x is a quandle
-    with pytest.raises(PreconditionError, match="not dihedral"):
-        torus_colorings(ACCEPT_A, ACCEPT_B, trivial)
 
 
 # ---------------------------------------------------------------------------
