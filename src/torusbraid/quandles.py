@@ -23,12 +23,16 @@ of the three strands involved, read bottom to top just before the move; the
 Boltzmann exponent of a coloring is the sign-weighted sum.  The cocycle
 invariant :func:`cocycle_invariant` is the sum of ``t^exponent`` over all
 colorings, an element of the group ring Z[Z/3] -- and it does not depend on
-which movie realizes the pair, only on the pair itself.
+which movie realizes the pair, only on the pair itself.  The triple points'
+order and signs do not depend on the coloring, and their colors are linear in
+it, so the movie is replayed once per generator of the colorings, not once per
+coloring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd, prod
 
 from . import braids
@@ -91,11 +95,19 @@ def torus_colorings(
     past that many entries (colorings times m) before any coloring is listed.
     """
     check_pair(a, b)
-    return _colorings(a, b, q)
+    out = [(0,) * a.degree]
+    for step, n in _coloring_generators(a, b, q):
+        out = [tuple((x + k * y) % q.size for x, y in zip(c, step))
+               for c in out for k in range(n)]
+    return sorted(out)
 
 
-def _colorings(a: BraidWord, b: BraidWord, q: Quandle) -> list[tuple[int, ...]]:
-    """:func:`torus_colorings` of a pair already known to commute."""
+def _coloring_generators(
+    a: BraidWord, b: BraidWord, q: Quandle
+) -> list[tuple[tuple[int, ...], int]]:
+    """Pairs ``(step_t, n_t)``, ``n_t > 1``, whose sums ``sum k_t step_t``
+    with ``0 <= k_t < n_t`` are the colorings, each once; the caps of
+    :func:`torus_colorings` are checked here."""
     p, m = q.size, a.degree
     check_cap(2 * m * m, "the coloring matrix", "entries")
     rows: list[list[int]] = []
@@ -108,13 +120,13 @@ def _colorings(a: BraidWord, b: BraidWord, q: Quandle) -> list[tuple[int, ...]]:
     if prod(counts) * m > braids.WORD_CAP:
         rest = prod(n for n in counts if n < p)
         size = f"{p}^{counts.count(p)}" + (f" * {rest}" if rest > 1 else "")
-        raise SearchBudgetExceeded(f"coloring search over {size} vectors exceeds the cap")
-    out = [(0,) * m]
-    for t, n in enumerate(counts):  # w_t runs over the multiples of p / n
-        step = [row[t] * (p // n) for row in v]
-        out = [tuple((x + k * y) % p for x, y in zip(c, step))
-               for c in out for k in range(n)]
-    return sorted(out)
+        raise SearchBudgetExceeded(
+            f"coloring listing of {size} colorings of {m} entries each "
+            f"exceeds the cap of {braids.WORD_CAP} entries"
+        )
+    # w_t runs over the multiples of p / n_t
+    return [(tuple(row[t] * (p // n) % p for row in v), n)
+            for t, n in enumerate(counts) if n > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +261,12 @@ def cocycle_invariant(
     the choice of movie.  Either way the pair is checked once: a generated
     movie checks it, and a valid movie proves ``ab = ba``, since every step
     is a braid relation or a free cancellation.
+
+    The colorings are the sums ``sum k_t step_t`` of :func:`_coloring_generators`
+    and the triple points' colors are linear in them, so the movie is replayed
+    once per generator: point i's colors under every ``step_t`` give three
+    linear forms in ``k``.  Points with equal forms merge by summing their
+    signs mod 3, and each distinct form is evaluated once per coloring.
     """
     q = dihedral_quandle(3)
     if movie is None:
@@ -257,9 +275,16 @@ def cocycle_invariant(
         if movie.braid_a != a or movie.braid_b != b or movie.degree != a.degree:
             raise PreconditionError("movie belongs to a different pair")
         validate_movie(movie)
-    total = GroupRingElement.zero()
-    for coloring in _colorings(a, b, q):
-        w = boltzmann_exponent(triple_points(movie, coloring, q))
-        total = total + GroupRingElement.monomial(w)
-    return total
-
+    gens = _coloring_generators(a, b, q)
+    signs: dict[tuple[tuple[int, ...], ...], int] = {}
+    for pts in zip(*(triple_points(movie, step, q) for step, _ in gens)):
+        forms = tuple(zip(*(tp.colors for tp in pts)))  # slot s: its colors per generator
+        signs[forms] = (signs.get(forms, 0) + pts[0].sign) % 3
+    terms = [(sign, forms) for forms, sign in signs.items() if sign]
+    distinct = {f for _, forms in terms for f in forms}
+    counts = [0, 0, 0]
+    for k in product(*(range(n) for _, n in gens)):  # the coloring sum k_t step_t
+        value = {f: sum(x * y for x, y in zip(f, k)) % 3 for f in distinct}
+        exponent = sum(sign * mochizuki_theta(*map(value.get, forms)) for sign, forms in terms)
+        counts[exponent % 3] += 1
+    return GroupRingElement(tuple(counts))

@@ -323,7 +323,8 @@ def test_quotient_tuples_past_the_cap_exit_3(capsys):
 def test_colorings_past_the_cap_exit_3(capsys):
     code, out, err = run(capsys, "colorings", "-m", "9", "-a", "e", "-b", "e", "--quandle", "7")
     assert (code, out) == (3, "")
-    assert err == "undecided: coloring search over 7^9 vectors exceeds the cap\n"
+    assert err == ("undecided: coloring listing of 7^9 colorings of 9 entries each "
+                   "exceeds the cap of 1000000 entries\n")
 
 
 def test_colorings_of_a_large_quandle_build_no_table(capsys):
@@ -347,7 +348,8 @@ def test_coloring_entries_past_the_cap_exit_3(capsys, argv, size):
     code, out, err = run(capsys, "colorings", *argv)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    assert err == f"undecided: coloring search over {size} vectors exceeds the cap\n"
+    assert err == (f"undecided: coloring listing of {size} colorings of {argv[1]} entries each "
+                   "exceeds the cap of 1000000 entries\n")
 
 
 def test_coloring_entries_cap_counts_colorings_times_degree(capsys, monkeypatch):
@@ -358,7 +360,8 @@ def test_coloring_entries_cap_counts_colorings_times_degree(capsys, monkeypatch)
     monkeypatch.setattr(torusbraid.braids, "WORD_CAP", 13)  # the 8-entry matrix still fits
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err == "undecided: coloring search over 7^1 vectors exceeds the cap\n"
+    assert err == ("undecided: coloring listing of 7^1 colorings of 2 entries each "
+                   "exceeds the cap of 13 entries\n")
 
 
 @pytest.mark.parametrize("command", ["colorings", "cocycle"])

@@ -235,6 +235,17 @@ def test_cocycle_checks_the_pair_and_validates_the_movie_once(monkeypatch, a, b)
     assert (len(commutes), len(validations)) == (1, 1)
 
 
+@pytest.mark.parametrize("a, b, colorings, replays", [
+    (ACCEPT_A, ACCEPT_B, 9, 2),
+    (word(8, [1, 3, 5, 7]), word(8, list(range(1, 8))) ** 8, 81, 4),
+])
+def test_cocycle_replays_the_movie_once_per_generator(monkeypatch, a, b, colorings, replays):
+    assert len(torus_colorings(a, b, dihedral_quandle(3))) == colorings
+    calls = _count_calls(monkeypatch, "triple_points", [torusbraid.quandles])
+    cocycle_invariant(a, b)
+    assert len(calls) == replays
+
+
 def test_cocycle_with_supplied_movie_matches(monkeypatch):
     fixture = read_movie(FIXTURE)
     commutes = _count_calls(monkeypatch, "commute_check", [torusbraid.braids, torusbraid.movies])
@@ -273,6 +284,16 @@ def test_negative_window_triples_cancel_in_pairs():
 # ---------------------------------------------------------------------------
 # the replaced brute-force paths, kept as oracles
 # ---------------------------------------------------------------------------
+
+
+def per_coloring_state_sum(a, b, movie):
+    """The state sum with the movie replayed once for every coloring."""
+    q = dihedral_quandle(3)
+    total = GroupRingElement.zero()
+    for coloring in torus_colorings(a, b, q):
+        total = total + GroupRingElement.monomial(
+            boltzmann_exponent(triple_points(movie, coloring, q)))
+    return total
 
 
 def exhaustive_colorings(a, b, q):
@@ -386,3 +407,36 @@ def test_triple_points_replay_insertions_and_cancellations():
         assert {InsertPair, CancelPair, R3} <= kinds
         for coloring in itertools.product(range(3), repeat=4):  # colorings or not
             assert triple_points(movie, coloring, q) == replayed_triple_points(movie, coloring, q)
+
+
+# ---------------------------------------------------------------------------
+# state sums by linearity, against one replay per coloring
+# ---------------------------------------------------------------------------
+
+
+def _state_sum_pairs():
+    rng = random.Random(13)
+    pairs = [(ACCEPT_A, ACCEPT_B)]
+    pairs += [(word(4, [1, 3]), garside_delta(4) ** k) for k in range(1, 7)]
+    for m in (5, 6, 7, 8):  # delta pairs, as in invariants
+        for k in (1, 2):
+            pairs += [(word(m, [rng.randrange(1, m) for _ in range(4)]),
+                       word(m, list(range(1, m))) ** (m * k)) for _ in range(2)]
+    # state sums that are not constant, over three to five generators
+    for m, k, a in ((4, 1, [1, 3, 1, 1, 3, 3]), (5, 2, [1, 3, 1, 4, 3, 3]),
+                    (7, 2, [5, 3, 1, 1, 3, 3])):
+        pairs.append((word(m, a), word(m, list(range(1, m))) ** (m * k)))
+    return pairs + [mirror_chart(a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("a, b", _state_sum_pairs())
+def test_state_sum_matches_per_coloring_replay(a, b):
+    movie = slide_movie(a, b)
+    assert cocycle_invariant(a, b) == per_coloring_state_sum(a, b, movie)
+
+
+def test_state_sum_of_supplied_movie_matches_per_coloring_replay():
+    fixture = read_movie(FIXTURE)
+    phi = cocycle_invariant(ACCEPT_A, ACCEPT_B, movie=fixture)
+    assert phi == per_coloring_state_sum(ACCEPT_A, ACCEPT_B, fixture)
+    assert str(phi) == "3 + 6t^2"
