@@ -29,8 +29,15 @@ permutation-braid factor per letter: ``sigma_i``, or ``Delta sigma_i^-1`` for
 a negative letter, conjugated by ``Delta`` once for each negative letter to
 its right.  Each ``Y_j`` is appended to the left-weighted normal form of
 ``Y_1 ... Y_{j-1}`` by a single right-to-left pass of left-weighting adjacent
-pairs, which stops at the first pair that does not move.  Pairs repeat within
-one word, so a call memoizes them.
+pairs, which stops at the first pair that does not move.  Normal forms
+multiply the same way: ``Delta^p F Delta^q G = Delta^(p+q) tau^q(F) G``, where
+``tau``, conjugation by ``Delta``, keeps ``F`` left-weighted, and each factor
+of ``G`` is appended by that pass.  So :func:`commute_check` builds ``NF(ab)``
+and ``NF(ba)`` from ``NF(a)`` and ``NF(b)``.  Pairs repeat, so one memo serves
+the normal forms of one decision.  Equal braids have equal permutations and
+exponent sums, which refutes most unequal pairs before any normal form.  A
+normal form past ``WORD_CAP`` left-weighting steps raises
+:class:`SearchBudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -44,7 +51,9 @@ Letter = tuple[int, int]
 Perm = tuple[int, ...]
 
 # Most letters parse_braid expands a word to: powers are typed by the user,
-# and ``s1^10000000000`` would otherwise ask for 10^10 letters.
+# and ``s1^10000000000`` would otherwise ask for 10^10 letters.  Also the most
+# left-weighting steps of one normal form, whose cost grows with the square of
+# a mixed-sign word's length.
 WORD_CAP = 10**6
 
 
@@ -366,8 +375,44 @@ def _left_weight_pair(A: Perm, B: Perm) -> tuple[Perm, Perm]:
     return tuple(a), tuple(b)
 
 
-def normal_form(w: BraidWord) -> NormalForm:
-    """Left-greedy normal form of the braid represented by ``w``."""
+def _append(factors: list[Perm], y: Perm, memo: dict) -> int:
+    """Append the permutation braid ``y`` to the left-weighted ``factors`` with
+    one right-to-left pass of left-weighting adjacent pairs, which stops at
+    the first pair that does not move; return the number of pairs weighted."""
+    ident = tuple(range(1, len(y) + 1))
+    factors.append(y)
+    j = len(factors) - 1
+    steps = 0
+    while j:
+        steps += 1
+        pair = (factors[j - 1], factors[j])
+        out = memo.get(pair)
+        if out is None:
+            out = memo[pair] = _left_weight_pair(*pair)
+        A, B = out
+        if A == pair[0]:
+            break
+        factors[j - 1] = A
+        if B == ident:  # only the last factor can be absorbed
+            del factors[j]
+        else:
+            factors[j] = B
+        j -= 1
+    return steps
+
+
+def _gather_deltas(m: int, infimum: int, factors: list[Perm]) -> NormalForm:
+    """Delta factors gather at the front of a left-weighted sequence."""
+    w0 = tuple(range(m, 0, -1))
+    lead = 0
+    while lead < len(factors) and factors[lead] == w0:
+        lead += 1
+    return NormalForm(m, infimum + lead, tuple(factors[lead:]))
+
+
+def normal_form(w: BraidWord, memo: dict | None = None) -> NormalForm:
+    """Left-greedy normal form of the braid represented by ``w``; ``memo``
+    holds the left-weighted pairs of one decision."""
     m = w.degree
     if m == 1:
         return NormalForm(1, 0, ())
@@ -379,7 +424,8 @@ def normal_form(w: BraidWord) -> NormalForm:
     r = sum(1 for _, s in w.letters if s < 0)
     right = r  # negative letters from the current one to the end
     factors: list[Perm] = []
-    memo: dict[tuple[Perm, Perm], tuple[Perm, Perm]] = {}
+    memo = {} if memo is None else memo
+    steps = 0
     for i, s in w.letters:
         if s < 0:
             right -= 1
@@ -388,38 +434,40 @@ def normal_form(w: BraidWord) -> NormalForm:
             y = tuple(y[x - 1] for x in w0)  # w0 then y
             if y == ident:  # Delta*sigma_1^-1 at degree 2
                 continue
-        # append Y_j to the left-weighted prefix with one right-to-left pass,
-        # which stops at the first pair that does not move
-        factors.append(y)
-        j = len(factors) - 1
-        while j:
-            pair = (factors[j - 1], factors[j])
-            out = memo.get(pair)
-            if out is None:
-                out = memo[pair] = _left_weight_pair(*pair)
-            A, B = out
-            if A == pair[0]:
-                break
-            factors[j - 1] = A
-            if B == ident:  # only the last factor can be absorbed
-                del factors[j]
-            else:
-                factors[j] = B
-            j -= 1
-    # Delta factors gather at the front of a left-weighted sequence
-    lead = 0
-    while lead < len(factors) and factors[lead] == w0:
-        lead += 1
-    return NormalForm(m, lead - r, tuple(factors[lead:]))
+        steps += _append(factors, y, memo)
+        check_cap(steps, "normal form", "left-weighting steps")
+    return _gather_deltas(m, -r, factors)
+
+
+def _product(x: NormalForm, y: NormalForm, memo: dict) -> NormalForm:
+    """The normal form of ``x y``: ``Delta^p F Delta^q G = Delta^(p+q) tau^q(F) G``,
+    where ``tau`` (conjugation by Delta) keeps ``F`` left-weighted, and each
+    factor of ``G`` is appended with the pass that appends a letter."""
+    m = x.degree
+    factors = list(x.factors)
+    if y.infimum % 2:
+        factors = [tuple(m + 1 - v for v in reversed(f)) for f in factors]
+    steps = 0
+    for g in y.factors:
+        steps += _append(factors, g, memo)
+        check_cap(steps, "normal form", "left-weighting steps")
+    return _gather_deltas(m, x.infimum + y.infimum, factors)
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:
-    """Word-problem solution: do ``u`` and ``v`` represent the same braid?"""
+    """Word-problem solution: do ``u`` and ``v`` represent the same braid?
+
+    A difference in exponent sums or permutations refutes it without a normal
+    form; otherwise the two normal forms share one pair memo.
+    """
     if u.degree != v.degree:
         raise PreconditionError(
             f"cannot compare words of degrees {u.degree} and {v.degree}"
         )
-    return normal_form(u) == normal_form(v)
+    if u.exponent_sum() != v.exponent_sum() or permutation(u) != permutation(v):
+        return False
+    memo: dict = {}
+    return normal_form(u, memo) == normal_form(v, memo)
 
 
 def is_trivial(w: BraidWord) -> bool:
@@ -427,8 +475,17 @@ def is_trivial(w: BraidWord) -> bool:
 
 
 def commute_check(a: BraidWord, b: BraidWord) -> bool:
-    """True iff ``ab = ba`` in the braid group."""
-    return braids_equal(a * b, b * a)
+    """True iff ``ab = ba`` in the braid group.
+
+    Different permutations of ``ab`` and ``ba`` refute it without a normal
+    form.  Otherwise ``NF(ab)`` and ``NF(ba)`` are products of
+    ``NF(a)`` and ``NF(b)`` (:func:`_product`), all four sharing one pair memo.
+    """
+    if permutation(a * b) != permutation(b * a):
+        return False
+    memo: dict = {}
+    x, y = normal_form(a, memo), normal_form(b, memo)
+    return _product(x, y, memo) == _product(y, x, memo)
 
 
 def check_pair(a: BraidWord, b: BraidWord) -> None:

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusbraid import braids
 from torusbraid.braids import (
     WORD_CAP,
     BraidWord,
     NormalForm,
     _left_weight_pair,
+    _product,
     braids_equal,
     cable_lift,
     check_pair,
@@ -206,8 +208,10 @@ def test_check_pair_refuses_what_defines_no_link():
 def test_commute_check():
     assert commute_check(word(4, [1]), word(4, [3]))
     assert not commute_check(word(3, [1]), word(3, [2]))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^cannot concatenate words of degrees 3 and 4$"):
         commute_check(word(3, [1]), word(4, [1]))
+    with pytest.raises(PreconditionError, match="^cannot compare words of degrees 3 and 4$"):
+        braids_equal(word(3, [1]), word(4, [1]))
 
 
 def _relation_insertions():
@@ -252,6 +256,177 @@ def test_normal_form_speed_long_mixed_word():
     t0 = time.perf_counter()
     normal_form(word(8, letters))
     assert time.perf_counter() - t0 < 1.5
+
+
+def _long_mixed_word(seed, n, m=8):
+    rng = random.Random(seed)
+    return word(m, [rng.choice([1, -1]) * rng.randint(1, m - 1) for _ in range(n)])
+
+
+STEP_CAP_MESSAGE = r"^normal form reaches \d+ left-weighting steps, over the cap of 1000000$"
+
+
+def test_normal_form_past_the_step_cap_raises_budget_error():
+    w = _long_mixed_word(8, 20000)
+    t0 = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded, match=STEP_CAP_MESSAGE):
+        normal_form(w)
+    with pytest.raises(SearchBudgetExceeded, match=STEP_CAP_MESSAGE):
+        commute_check(w, BraidWord(8, ()))
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_step_cap_counts_memo_hits_and_products(monkeypatch):
+    w = _long_mixed_word(3, 40)
+    memo = {}
+    nf = normal_form(w, memo)
+    monkeypatch.setattr(braids, "WORD_CAP", 5)
+    with pytest.raises(SearchBudgetExceeded, match="normal form reaches 6 left-weighting steps"):
+        normal_form(w, memo)  # every pair is a memo hit now
+    with pytest.raises(SearchBudgetExceeded, match="over the cap of 5$"):
+        _product(nf, nf, memo)
+
+
+# ---------------------------------------------------------------------------
+# commutation and equality from products of normal forms, against fresh
+# normal forms of the concatenated words
+# ---------------------------------------------------------------------------
+
+
+def _commute_oracle(a, b):
+    return normal_form(a * b) == normal_form(b * a)
+
+
+def _check_commute(a, b):
+    verdict = commute_check(a, b)
+    assert verdict == commute_check(b, a) == _commute_oracle(a, b)
+    return verdict
+
+
+def _check_equal(u, v):
+    verdict = braids_equal(u, v)
+    assert verdict == (normal_form(u) == normal_form(v))
+    return verdict
+
+
+def _random_letters(rng, m, n, sign):
+    if m == 1:
+        return []
+    return [rng.randint(1, m - 1) * (sign or rng.choice([1, -1])) for _ in range(n)]
+
+
+def test_commute_check_matches_oracle_on_random_pairs():
+    rng = random.Random(20261019)
+    verdicts = []
+    for m in range(1, 11):
+        for sign in (1, 0):
+            for _ in range(3):
+                w = _random_letters(rng, m, rng.randint(0, 30), sign)
+                c = _random_letters(rng, m, rng.randint(0, 8), sign)
+                a, cw = word(m, w), word(m, c)
+                verdicts.append(_check_commute(a, a ** rng.randint(-2, 3)))
+                verdicts.append(_check_commute(cw * a * cw.inverse(), cw * a ** 2 * cw.inverse()))
+                verdicts.append(_check_commute(a, word(m, _random_letters(rng, m, 20, sign))))
+                if m > 1:
+                    full_twist = garside_delta(m) ** 2
+                    verdicts.append(_check_commute(a * full_twist, a ** 2))
+    assert verdicts.count(True) > verdicts.count(False) > 0
+
+
+def test_commute_check_matches_oracle_on_families():
+    for m in range(1, 11):
+        d, dual = garside_delta(m), dual_generator(m)
+        for j in range(-2, 4):
+            for k in range(-3, 3):
+                assert _check_commute(d ** j, d ** k)
+                assert _check_commute(dual ** j, dual ** k)
+                _check_commute(d ** j, dual ** k)
+        for i in range(1, m):
+            # Delta conjugates s_i s_(m-i) to s_(m-i) s_i, which is the same braid
+            # unless s_i and s_(m-i) are adjacent generators
+            assert _check_commute(d ** 3, word(m, [i, m - i])) == (abs(m - 2 * i) != 1)
+            assert _check_commute(d, word(m, [i])) == (2 * i == m)
+            assert _check_commute(dual ** m, word(m, [-i, i, i]))
+
+
+def test_commute_and_equal_match_oracle_on_relation_insertions():
+    for w, mutated in _relation_insertions():
+        assert _check_equal(w, mutated)
+        assert _check_commute(w, mutated)
+        _check_commute(w, mutated * word(w.degree, [1]) if w.degree > 1 else w)
+
+
+def test_non_commuting_controls_with_commuting_permutations():
+    # pure braids: equal (trivial) permutations, so only the products decide
+    for m in range(3, 8):
+        for i in range(1, m - 1):
+            a, b = word(m, [i, i]), word(m, [i + 1, i + 1])
+            assert not _check_commute(a, b)
+            assert not _check_equal(a * b, b * a)
+            assert not _check_commute(a * garside_delta(m) ** 2, b)
+            assert _check_commute(a, a ** -3)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.integers(-3, 3),
+    st.lists(st.integers(1, max(m - 1, 1)).flatmap(lambda i: st.sampled_from([i, -i])),
+             max_size=25 if m > 1 else 0),
+    st.lists(st.integers(1, max(m - 1, 1)).flatmap(lambda i: st.sampled_from([i, -i])),
+             max_size=25 if m > 1 else 0),
+)))
+def test_product_of_normal_forms_is_the_normal_form_of_the_product(case):
+    m, k, xs, ys = case
+    x = word(m, xs)
+    y = garside_delta(m) ** k * word(m, ys)  # odd k: tau acts on x's factors
+    assert _product(normal_form(x), normal_form(y), {}) == normal_form(x * y)
+    assert _product(normal_form(y), normal_form(x), {}) == normal_form(y * x)
+
+
+def test_product_conjugates_by_odd_infima():
+    m = 4
+    x, y = word(m, [1, 2]), garside_delta(m) * word(m, [3])
+    assert normal_form(y).infimum == 1
+    assert _product(normal_form(x), normal_form(y), {}) == normal_form(x * y)
+    assert normal_form(x * y) == normal_form(garside_delta(m) * word(m, [3, 2, 3]))
+    for deg in (1, 2):
+        e = BraidWord(deg, ())
+        assert _product(normal_form(e), normal_form(e), {}) == NormalForm(deg, 0, ())
+    assert _product(normal_form(word(2, [-1])), normal_form(word(2, [1, 1])), {}) == \
+        NormalForm(2, 1, ())
+
+
+def _spy_on_normal_form(monkeypatch):
+    letters = []
+    real = braids.normal_form
+
+    def spy(w, *args):
+        letters.append(len(w))
+        return real(w, *args)
+
+    monkeypatch.setattr(braids, "normal_form", spy)
+    return letters
+
+
+def test_commute_check_normalizes_each_word_once(monkeypatch):
+    letters = _spy_on_normal_form(monkeypatch)
+    c, w = word(6, [2, -5, 1]), word(6, [1, -3, 4, 4, -2, 5])
+    a, b = c * w * c.inverse(), c * w ** 3 * c.inverse()
+    assert commute_check(a, b)
+    assert (len(letters), sum(letters)) == (2, len(a) + len(b))
+
+
+def test_refuted_decisions_make_no_normal_form(monkeypatch):
+    letters = _spy_on_normal_form(monkeypatch)
+    assert not commute_check(word(3, [1]), word(3, [2]))
+    assert not commute_check(word(5, [1, -2, 3]), word(5, [4, 2]))
+    # same permutations, different exponent sums
+    assert not braids_equal(word(3, [1]), word(3, [-1]))
+    assert not braids_equal(word(4, [1, -3]), word(4, [-1, 3, 3, 3]))
+    assert letters == []
+    assert not braids_equal(word(3, [1, 2]), word(3, [2, 1]))  # same sum: permutations
+    assert letters == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -397,6 +398,16 @@ def test_tietze_relators_past_the_cap_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "group", "--simplify", *PAIR4)
     assert (code, out) == (3, "")
     assert err.startswith("undecided: the Tietze relator total reaches ")
+
+
+def test_normal_form_past_the_step_cap_exit_3(capsys):
+    # a commuting pair whose first word's normal form takes over 10^6 left-weighting steps
+    rng = random.Random(8)
+    a = " ".join(str(rng.choice([1, -1]) * rng.randint(1, 7)) for _ in range(20000))
+    code, out, err = run(capsys, "group", "-m", "8", "-a", a, "-b", "e")
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"undecided: normal form reaches \d+ left-weighting steps, "
+                        r"over the cap of 1000000\n", err)
 
 
 def test_pseudo_anosov_relators_past_the_cap_exit_3(capsys):
