@@ -18,7 +18,6 @@ from .artin import (
     free_reduce,
     free_word,
     generator,
-    parse_free_word,
 )
 from .braids import (
     BraidWord,
@@ -67,7 +66,6 @@ from .presentations import (
     add_relator,
     central_twist_relator,
     cyclic_group,
-    cyclic_hom_count,
     dihedral_group,
     finite_quotient_count,
     format_presentation,
@@ -81,7 +79,6 @@ from .quandles import (
     GroupRingElement,
     Quandle,
     TriplePoint,
-    boltzmann_exponent,
     braid_monodromy,
     cocycle_invariant,
     dihedral_quandle,

@@ -128,36 +128,6 @@ def _power_token(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
-def parse_free_word(text: str, rank: int) -> FreeWord:
-    """Parse ``x1 x2^-1 x1`` or signed integers ``2 -3``.
-
-    A bare signed integer ``j`` is ``x_j`` (so the single token ``1`` is x1);
-    the whole-input placeholders ``e`` or ``1`` alone denote the identity.
-    """
-    if text.strip() in ("", "e", "1"):
-        return FreeWord(rank, ())
-    letters: list[FreeLetter] = []
-    for tok in text.split():
-        if tok == "e":
-            continue
-        base, caret, exp = tok.partition("^")
-        power = int(exp) if caret else 1
-        if base.startswith("x"):
-            j = int(base[1:])
-            s = 1
-        else:
-            v = int(base)
-            if v == 0:
-                raise PreconditionError("0 is not a valid free-group letter")
-            j, s = abs(v), (1 if v > 0 else -1)
-        total = s * power
-        if total >= 0:
-            letters.extend([(j, 1)] * total)
-        else:
-            letters.extend([(j, -1)] * (-total))
-    return FreeWord(rank, tuple(letters))
-
-
 def boundary_word(rank: int) -> FreeWord:
     """The meridian product ``x1 x2 .. xm``, fixed by the whole braid group."""
     return FreeWord(rank, tuple((j, 1) for j in range(1, rank + 1)))

@@ -25,36 +25,28 @@ bookkeeping trace of the event.
 rightmost first, in closed form when each letter of ``b`` equals the slider (a
 reconnection) or is far from it (a far swap), or when ``b`` or its reversal is
 a literal power of ``delta = s1 s2 .. s_{m-1}`` or of the half twist ``Delta``.
-Letters that emerge changed, as through an odd power of Delta, are put back in
-order by a bounded search.  Any other letter gets a bounded search of its own,
-and a letter that does not commute with ``b`` raises a generation error.
+Every other positive pair, and the letters that emerge changed from an odd
+power of Delta, take Garside's word property made constructive: two positive
+words for one braid are joined by far swaps and R3 moves alone, built letter
+by letter in at most ``WORD_CAP`` steps.  A pair and its mirror are
+supported; mixed-sign pairs are not.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Iterator, Sequence, Union
 
 from .braids import (
     BraidWord,
     Letter,
+    check_cap,
     check_pair,
-    commute_check,
     format_braid,
     garside_delta,
     parse_braid,
-    word,
 )
-from .errors import (
-    MovieGenerationError,
-    MovieValidationError,
-    PreconditionError,
-    SearchBudgetExceeded,
-)
-
-# States a word-rewriting search may settle before it gives up.
-WORD_PATH_STATES = 50_000
+from .errors import MovieGenerationError, MovieValidationError, PreconditionError
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,13 +233,16 @@ def _climb(s: int, p: int) -> list[Step]:
     return steps
 
 
-def _through_periods(s: int, c: int, periods: list[int]) -> tuple[list[Step], int]:
+def _through_periods(
+    s: int, c: int, periods: list[int]
+) -> tuple[list[Step], int] | None:
     """Slide ``s_c`` through consecutive periods ``s1 .. s_{p-1}``, one per p.
 
     Returns the steps and the index e of the emerging letter.  Below a period
     the slider descends, at label 1 it climbs this period and the next, and
     above a period (c > p) it far-swaps past it.  So ``s_c delta^m = delta^m
-    s_c`` and ``s_c Delta = Delta s_{m-c}``.
+    s_c`` and ``s_c Delta = Delta s_{m-c}``.  Returns None if s1 reaches the
+    last period, which it cannot climb alone.
     """
     steps: list[Step] = []
     t = 0
@@ -255,10 +250,7 @@ def _through_periods(s: int, c: int, periods: list[int]) -> tuple[list[Step], in
         p = periods[t]
         if c == 1:
             if t + 1 == len(periods):
-                raise MovieGenerationError(
-                    f"s1 reaches the last period s1 .. s{p - 1} of the second "
-                    f"word alone and cannot cross it"
-                )
+                return None
             steps.extend(_climb(s, p))
             s, c, t = s + p + periods[t + 1] - 2, p - 1, t + 2
         elif c < p:
@@ -270,76 +262,48 @@ def _through_periods(s: int, c: int, periods: list[int]) -> tuple[list[Step], in
     return steps, c
 
 
-def _word_path(start: list[Letter], goal: list[Letter]) -> list[Step] | None:
-    """Shortest FarSwap/R3 path between equal-length words, fewest R3 first.
+def _positive_path(start: Sequence[Letter], goal: Sequence[Letter]) -> Iterator[Step]:
+    """Far swaps and R3 moves from ``start`` to ``goal``, two positive words
+    for one braid (Garside's word property, made constructive).
 
-    Deterministic 0--1 breadth-first search (far swaps are free, triple
-    points cost 1).  Returns None if the goal is unreachable; raises
-    SearchBudgetExceeded past ``WORD_PATH_STATES`` settled states.
+    Each letter of ``goal``, left to right, is brought to its place q in the
+    current word.  The suffixes from q on are one positive braid, so the
+    letter ``s_i`` left-divides the suffix ``s_j W``, and so does the lcm of
+    ``s_i`` and ``s_j``: for far j, ``s_i`` is brought to the front of ``W``
+    and far-swapped; for adjacent j, ``s_i`` and then ``s_j`` are brought to
+    the front of ``W`` and the window ``s_j s_i s_j`` becomes ``s_i s_j s_i``
+    in one triple point.  Raises SearchBudgetExceeded past ``WORD_CAP`` steps.
     """
-    src, dst = tuple(start), tuple(goal)
-    if src == dst:
-        return []
-    dist: dict[tuple, tuple] = {src: (0, None, None)}  # cost, parent, step
-    queue: deque[tuple] = deque([src])
-    done: set[tuple] = set()
-    while queue:
-        state = queue.popleft()
-        if state in done:
-            continue
-        done.add(state)
-        if state == dst:
-            break
-        if len(done) > WORD_PATH_STATES:
-            raise SearchBudgetExceeded(
-                f"word-rewriting search exceeded {WORD_PATH_STATES} states"
-            )
-        cost = dist[state][0]
-        n = len(state)
-        moves: list[tuple[Step, tuple, int]] = []
-        for p in range(n - 1):
-            (i, _), (j, _) = state[p], state[p + 1]
-            if abs(i - j) >= 2:
-                nxt = state[:p] + (state[p + 1], state[p]) + state[p + 2 :]
-                moves.append((FarSwap(p), nxt, 0))
-        for p in range(n - 2):
-            (i, s1), (j, s2), (k, s3) = state[p : p + 3]
-            if i == k and abs(i - j) == 1 and s1 == s2 == s3:
-                nxt = (
-                    state[:p]
-                    + ((j, s1), (i, s1), (j, s1))
-                    + state[p + 3 :]
-                )
-                moves.append((R3(p, r3_window_sign(i, j, s1)), nxt, 1))
-        for step, nxt, w in moves:
-            if nxt in done:
-                continue
-            new_cost = cost + w
-            if nxt not in dist or new_cost < dist[nxt][0]:
-                dist[nxt] = (new_cost, state, step)
-                if w:
-                    queue.append(nxt)
-                else:
-                    queue.appendleft(nxt)
-    if dst not in dist:
-        return None
-    path: list[Step] = []
-    cur = dst
-    while cur != src:
-        _, parent, step = dist[cur]
-        path.append(step)
-        cur = parent
-    path.reverse()
-    return path
+    cur = list(start)
+    count = 0
+    for q, letter in enumerate(goal):
+        # (index, position) pairs to bring and steps to make, on a stack
+        # rather than the call stack: the nesting grows with the word
+        todo: list = [(letter[0], q)]
+        while todo:
+            task = todo.pop()
+            if isinstance(task, tuple):
+                i, p = task
+                j = cur[p][0]
+                if abs(i - j) >= 2:
+                    todo += [FarSwap(p), (i, p + 1)]
+                elif i != j:
+                    todo += [R3(p, r3_window_sign(j, i, 1)), (j, p + 2), (i, p + 1)]
+            else:
+                count += 1
+                check_cap(count, "movie", "steps")
+                apply_step(cur, task)
+                yield task
 
 
 def _slide_one_letter(
     c: int, b: BraidWord, periods: list[int], s: int
-) -> tuple[list[Step], int]:
+) -> tuple[list[Step], int] | None:
     """Steps turning ``s_c b`` into ``b s_e`` at offset s (positive letters).
 
     Returns the steps and e, the index the letter emerges with: c, except
     through periods that do not return it (an odd power of Delta gives m-c).
+    Returns None where no closed form applies.
     """
     letters = b.letters
     if all(i == c or abs(i - c) >= 2 for i, _ in letters):
@@ -347,21 +311,7 @@ def _slide_one_letter(
         for t, (i, _) in enumerate(letters):
             steps.extend(_reconnect(s + t, c) if i == c else [FarSwap(s + t)])
         return steps, c
-    if periods:
-        return _through_periods(s, c, periods)
-    # general fallback: bounded search for this letter alone
-    if not commute_check(word(b.degree, [c]), b):
-        raise MovieGenerationError(
-            f"letter s{c} does not commute with the second word; "
-            f"per-letter sliding does not apply to this pair"
-        )
-    path = _word_path([(c, 1), *letters], [*letters, (c, 1)])
-    if path is None:
-        raise MovieGenerationError(
-            f"no far-swap/triple-point rewriting found for s{c} through "
-            f"the second word (insertions would be required)"
-        )
-    return [replace(st, pos=st.pos + s) for st in path], c
+    return _through_periods(s, c, periods) if periods else None
 
 
 def _reversed(start: tuple[Letter, ...], steps: list[Step]) -> list[Step]:
@@ -391,9 +341,8 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
 
     Preconditions: equal degrees and ``ab = ba``.  All letters of both words
     must carry the same crossing sign (a pair and its mirror are supported;
-    mixed signs are not).  Raises MovieGenerationError with a diagnostic when
-    the pair is outside the generator's reach; the movie returned otherwise is
-    validated before being handed back.
+    mixed signs raise MovieGenerationError).  The movie is validated before
+    being handed back.
     """
     check_pair(a, b)
     movie = ChartMovie(a.degree, a, b, tuple(_slide_steps(a, b)))
@@ -421,13 +370,15 @@ def _slide_steps(a: BraidWord, b: BraidWord) -> list[Step]:
         return _reversed((ar * br).letters, _slide_steps(ar, br))
     steps, emerged = [], list(a.letters)
     for k in range(len(a.letters) - 1, -1, -1):
-        st, e = _slide_one_letter(a.letters[k][0], b, periods, k)
-        steps.extend(st)
-        emerged[k] = (e, 1)
+        slid = _slide_one_letter(a.letters[k][0], b, periods, k)
+        if slid is None:
+            return list(_positive_path((a * b).letters, (b * a).letters))
+        steps.extend(slid[0])
+        emerged[k] = (slid[1], 1)
     if emerged != list(a.letters):
         # b (emerged) = a b = b a, so the emerged word equals a as a
         # positive braid and far swaps and triple points join the two
-        path = _word_path(emerged, list(a.letters)) or []
+        path = _positive_path(emerged, a.letters)
         steps.extend(replace(st, pos=st.pos + len(b.letters)) for st in path)
     return steps
 

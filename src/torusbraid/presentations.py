@@ -318,16 +318,6 @@ def torus_abelianization(
     return AbelianInvariants(len(sizes) - 1, (g,) if g > 1 else ())
 
 
-def cyclic_hom_count(ab: AbelianInvariants, k: int) -> int:
-    """Number of homomorphisms to Z/k predicted by the abelianization."""
-    if k < 1:
-        raise PreconditionError("cyclic order must be >= 1")
-    n = k**ab.rank
-    for d in ab.torsion:
-        n *= gcd(d, k)
-    return n
-
-
 # ---------------------------------------------------------------------------
 # finite quotients by enumeration
 # ---------------------------------------------------------------------------
@@ -370,8 +360,10 @@ def _tabulate(name: str, elements: list, compose, unit) -> FiniteGroup:
 
 
 def cyclic_group(k: int) -> FiniteGroup:
+    """Z/k as a table of k^2 entries, at most ``WORD_CAP`` of them."""
     if k < 1:
         raise PreconditionError("cyclic order must be >= 1")
+    check_cap(k * k, f"the table of Z{k}", "entries")
     return _tabulate(
         f"Z{k}", list(range(k)), lambda x, y: (x + y) % k, 0
     )

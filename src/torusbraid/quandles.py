@@ -241,14 +241,6 @@ def triple_points(
     return out
 
 
-def boltzmann_exponent(points: list[TriplePoint]) -> int:
-    """Sign-weighted sum of cocycle values, an exponent in Z/3."""
-    total = 0
-    for tp in points:
-        total += tp.sign * mochizuki_theta(*tp.colors)
-    return total % 3
-
-
 def cocycle_invariant(
     a: BraidWord,
     b: BraidWord,

@@ -17,7 +17,6 @@ from torusbraid.artin import (
     free_reduce,
     free_word,
     generator,
-    parse_free_word,
 )
 from torusbraid.braids import (
     BraidWord,
@@ -37,7 +36,6 @@ from torusbraid.presentations import (
     torus_covering_group,
 )
 from torusbraid.quandles import (
-    boltzmann_exponent,
     cocycle_invariant,
     dihedral_quandle,
     mochizuki_theta,
@@ -51,6 +49,8 @@ from torusbraid.ribbon import (
     verify_decomposition,
     write_witness,
 )
+
+from oracles import boltzmann_exponent, parse_free_word
 
 DATA = Path(__file__).resolve().parent / "data"
 

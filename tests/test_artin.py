@@ -17,10 +17,11 @@ from torusbraid.artin import (
     free_reduce,
     free_word,
     generator,
-    parse_free_word,
 )
 from torusbraid.braids import WORD_CAP, BraidWord, garside_delta, parse_braid, word
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
+
+from oracles import parse_free_word
 
 
 def test_free_word_algebra():

@@ -437,6 +437,45 @@ def test_abelianization_reads_orbits_at_high_degree(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+def test_cyclic_group_table_past_the_cap_exits_3(capsys):
+    argv = ["quotients", "-m", "2", "-a", "1", "-b", "e", "--group"]
+    code, out, err = run(capsys, *argv, "Z1001")
+    assert (code, out) == (3, "")
+    assert err == ("undecided: the table of Z1001 reaches 1002001 entries, "
+                   "over the cap of 1000000\n")
+    code, out, _ = run(capsys, *argv, "Z1000")
+    assert (code, out.splitlines()[:2]) == (0, ["group: Z1000", "homomorphisms: 1000"])
+
+
+# pairs with no closed-form slide, each joined by the positive path: Delta
+# spelled otherwise, a power of delta not divisible by the degree, and shears
+# tau^2 = (a, b a^2) of two delta^4 pairs and of (s1 s3, Delta^4)
+@pytest.mark.parametrize("m, a, b, text", [
+    pytest.param("4", "1 3", "1 3 2 1 3 2", "3\ncoefficients: 3 0 0\n",
+                 id="half-twist-spelled-otherwise"),
+    pytest.param("3", "1 2", "(1 2)^2", "3\ncoefficients: 3 0 0\n",
+                 id="delta-squared-at-degree-3"),
+    pytest.param("4", "1 2 2 2 3", "(1 2 3)^4 (1 2 2 2 3)^2",
+                 "3 + 6t^2\ncoefficients: 3 0 6\n", id="acceptance-sheared-twice"),
+    pytest.param("4", "1 3 1 1 3 3", "(1 2 3)^4 (1 3 1 1 3 3)^2",
+                 "9 + 18t\ncoefficients: 9 18 0\n", id="delta-pair-sheared-twice"),
+    pytest.param("4", "1 3", "(1 3 2 1 3 2)^4", "9\ncoefficients: 9 0 0\n",
+                 id="half-twist-spelled-otherwise-to-the-fourth"),
+])
+def test_cocycle_on_pairs_without_a_closed_form(capsys, m, a, b, text):
+    start = time.perf_counter()
+    assert run(capsys, "cocycle", "-m", m, "-a", a, "-b", b) == (0, text, "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_movie_past_the_step_cap_exits_3(capsys, monkeypatch):
+    # the positive path for this pair takes 7 steps; the normal forms fewer
+    monkeypatch.setattr(torusbraid.braids, "WORD_CAP", 6)
+    code, out, err = run(capsys, "cocycle", "-m", "4", "-a", "1 3", "-b", "1 3 2 1 3 2")
+    assert (code, out) == (3, "")
+    assert err == "undecided: movie reaches 7 steps, over the cap of 6\n"
+
+
 def test_quotients_rejects_unknown_group(capsys):
     code, _, err = run(
         capsys, "quotients", "-m", "2", "-a", "1 1 1", "-b", "", "--group", "Q8"

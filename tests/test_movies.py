@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import os
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torusbraid import movies
+from torusbraid import braids, movies
 from torusbraid.braids import BraidWord, garside_delta, word
 from torusbraid.errors import (
     MovieGenerationError,
     MovieValidationError,
     PreconditionError,
+    SearchBudgetExceeded,
 )
 from torusbraid.movies import (
     CancelPair,
@@ -28,6 +32,9 @@ from torusbraid.movies import (
     validate_movie,
     write_movie,
 )
+from torusbraid.quandles import cocycle_invariant
+
+from oracles import word_path
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "acceptance_movie.txt")
 
@@ -140,7 +147,7 @@ def test_slide_movie_low_degree_climbs_pinned():
 
 
 @pytest.mark.parametrize("m", range(3, 11))
-def test_closed_form_climb_is_minimal(m, monkeypatch):
+def test_closed_form_climb_is_minimal(m):
     # s1 delta delta -> delta delta s_{m-1}, and through the two periods of
     # lengths m and m-1 that a slide through Delta climbs
     delta = [(i, 1) for i in range(1, m)]
@@ -155,8 +162,7 @@ def test_closed_form_climb_is_minimal(m, monkeypatch):
         assert sum(isinstance(st, R3) for st in steps) == m - 2
         assert sum(isinstance(st, FarSwap) for st in steps) == (m - 2) * (m - 3)
     # the fewest triple points of any far-swap/R3 path through delta delta
-    monkeypatch.setattr(movies, "WORD_PATH_STATES", 200_000)
-    oracle = movies._word_path([(1, 1)] + delta * 2, delta * 2 + [(m - 1, 1)])
+    oracle = word_path([(1, 1)] + delta * 2, delta * 2 + [(m - 1, 1)], states=200_000)
     assert sum(isinstance(st, R3) for st in oracle) == m - 2
 
 
@@ -171,8 +177,6 @@ DELTA_FAMILY_SUMS = [
 
 @pytest.mark.parametrize("m, a, value, mirror_value", DELTA_FAMILY_SUMS)
 def test_delta_family_state_sums_pinned(m, a, value, mirror_value):
-    from torusbraid.quandles import cocycle_invariant
-
     pair = (word(m, a), word(m, list(range(1, m))) ** (2 * m))
     assert cocycle_invariant(*pair).coeffs == value
     if mirror_value is not None:
@@ -197,33 +201,106 @@ def test_slide_movie_half_twist_mirror_in_place():
 
 
 def test_per_letter_rule_needs_no_search(monkeypatch):
-    def no_search(*args, **kwargs):
-        raise AssertionError("search reached")
+    def no_path(*args, **kwargs):
+        raise AssertionError("positive path reached")
 
-    monkeypatch.setattr(movies, "_word_path", no_search)
+    monkeypatch.setattr(movies, "_positive_path", no_path)
     for a, b in (([1], [1, 3, 3]), ([1, 1], [3, 1, 3])):
         movie = slide_movie(word(4, a), word(4, b))
         validate_movie(movie)
         assert movie.r3_count() == 0
 
 
-def test_slide_movie_rejects_label_one_on_the_last_period():
-    # s2 descends to s1 in the first period of delta^2 and cannot climb alone
-    with pytest.raises(MovieGenerationError):
-        slide_movie(word(3, [1, 2]), word(3, [1, 2]) ** 2)
+def test_slide_movie_label_one_on_the_last_period():
+    # s2 descends to s1 in the first period of delta^2 and cannot climb
+    # alone, so the whole pair takes the positive path; ab and ba are one word
+    a, b = word(3, [1, 2]), word(3, [1, 2]) ** 2
+    assert slide_movie(a, b).steps == ()
+    assert str(cocycle_invariant(a, b)) == "3"
 
 
-def test_slide_movie_search_fallback(monkeypatch):
+def test_slide_movie_positive_path_fallback(monkeypatch):
+    # s2 is adjacent to s1 and b has no periods: no closed form applies
     calls = []
-    search = movies._word_path
+    path = movies._positive_path
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return search(*args, **kwargs)
+    def spy(start, goal):
+        calls.append((tuple(start), tuple(goal)))
+        return path(start, goal)
 
-    monkeypatch.setattr(movies, "_word_path", spy)
-    validate_movie(slide_movie(word(3, [2]), word(3, [1, 2, 2, 1])))
-    assert calls
+    monkeypatch.setattr(movies, "_positive_path", spy)
+    a, b = word(3, [2]), word(3, [1, 2, 2, 1])
+    validate_movie(slide_movie(a, b))
+    assert calls == [((a * b).letters, (b * a).letters)]
+
+
+def _path_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
+    """The movie the positive path alone makes for a one-sign pair."""
+    sign = -1 if any(s < 0 for _, s in a.letters + b.letters) else 1
+    pa, pb = mirror_chart(a, b) if sign < 0 else (a, b)
+    steps = movies._positive_path((pa * pb).letters, (pb * pa).letters)
+    return ChartMovie(a.degree, a, b, tuple(
+        R3(st.pos, sign * st.sign) if isinstance(st, R3) else st for st in steps))
+
+
+def _closed_form_pairs() -> list[tuple[BraidWord, BraidWord]]:
+    """Positive pairs that the closed forms slide: powers of delta, Delta
+    and their reversals, and letters equal to or far from every letter of b."""
+    rng = random.Random(16)
+    pairs = [(ACCEPT_A, ACCEPT_B), (ACCEPT_A, ACCEPT_B ** 2)]
+    pairs += [(word(4, [1, 3]), garside_delta(4) ** k) for k in range(1, 5)]
+    for m in (3, 4, 5):
+        delta = word(m, list(range(1, m)))
+        for b in (delta ** m, delta.reverse() ** m, garside_delta(m) ** 2):
+            for _ in range(6):
+                a = word(m, [rng.randint(1, m - 1) for _ in range(rng.randint(1, 5))])
+                pairs.append((a, b))
+    for m, far in ((4, [1, 3]), (6, [1, 3, 5])):
+        for _ in range(8):
+            pairs.append(tuple(word(m, rng.choices(far, k=rng.randint(1, 5))) for _ in "ab"))
+    return pairs
+
+
+def test_positive_path_state_sums_match_the_closed_forms():
+    for a, b in _closed_form_pairs():
+        for pair in ((a, b), mirror_chart(a, b)):
+            # a supplied movie is validated before it is replayed
+            movie = _path_movie(*pair)
+            assert cocycle_invariant(*pair, movie=movie) == cocycle_invariant(*pair), pair
+
+
+@st.composite
+def _positive_pairs(draw):
+    m = draw(st.integers(3, 6))
+    w = word(m, draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=8)))
+    k, j = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    d2 = garside_delta(m) ** 2
+    return draw(st.sampled_from([(w, w ** k), (w * d2 ** j, w ** k), (d2, w)]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_positive_pairs())
+def test_positive_pairs_and_mirrors_get_valid_movies(pair):
+    for a, b in (pair, mirror_chart(*pair)):
+        validate_movie(slide_movie(a, b))
+
+
+def test_positive_path_on_a_long_word_needs_no_recursion():
+    rng = random.Random(6)
+    w = word(6, [rng.randint(1, 5) for _ in range(1500)])
+    d2 = garside_delta(6) ** 2
+    validate_movie(_path_movie(w, d2))
+    validate_movie(slide_movie(d2, w))
+
+
+def test_positive_path_stops_past_the_step_cap(monkeypatch):
+    # b is Delta spelled otherwise: the path takes 7 steps
+    pair = (word(4, [1, 3]), word(4, [1, 3, 2, 1, 3, 2]))
+    monkeypatch.setattr(braids, "WORD_CAP", 7)
+    assert len(slide_movie(*pair).steps) == 7
+    monkeypatch.setattr(braids, "WORD_CAP", 6)
+    with pytest.raises(SearchBudgetExceeded, match="^movie reaches 7 steps, over the cap of 6$"):
+        slide_movie(*pair)
 
 
 def test_slide_movie_mirror_pair():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from torusbraid import braids
-from torusbraid.artin import format_free_word, free_word, parse_free_word
+from torusbraid.artin import format_free_word, free_word
 from torusbraid.braids import BraidWord, garside_delta, word
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 from torusbraid.presentations import (
@@ -16,7 +16,6 @@ from torusbraid.presentations import (
     add_relator,
     central_twist_relator,
     cyclic_group,
-    cyclic_hom_count,
     dihedral_group,
     finite_quotient_count,
     format_presentation,
@@ -27,6 +26,8 @@ from torusbraid.presentations import (
     torus_abelianization,
     torus_covering_group,
 )
+
+from oracles import cyclic_hom_count, parse_free_word
 
 SPUN_TREFOIL = (word(2, [1, 1, 1]), BraidWord(2, ()))
 
