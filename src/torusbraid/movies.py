@@ -16,25 +16,21 @@ concatenated word ``a b`` into ``b a``:
 
 Any valid movie between ``a b`` and ``b a`` describes the same embedded
 surface, so downstream weights computed from movies do not depend on which
-movie is used -- only on the pair.  Reconnections (two strands with equal
-letters meeting) leave the word unchanged; generated movies record them as an
-InsertPair immediately followed by the CancelPair that undoes it, purely as a
-bookkeeping trace of the event.
+movie is used -- only on the pair.  Its number of R3 steps bounds the triple
+point number of that surface from above.
 
-:func:`slide_movie` slides the letters of ``a`` through ``b`` one at a time,
-rightmost first, in closed form when each letter of ``b`` equals the slider (a
-reconnection) or is far from it (a far swap), or when ``b`` or its reversal is
-a literal power of ``delta = s1 s2 .. s_{m-1}`` or of the half twist ``Delta``.
-Every other positive pair, and the letters that emerge changed from an odd
-power of Delta, take Garside's word property made constructive: two positive
-words for one braid are joined by far swaps and R3 moves alone, built letter
-by letter in at most ``WORD_CAP`` steps.  A pair and its mirror are
-supported; mixed-sign pairs are not.
+:func:`slide_movie` generates a movie for every commuting pair whose letters
+all carry one crossing sign.  ``a b`` and ``b a`` are then two positive words
+for one braid (after mirroring an all-negative pair), and Garside's word
+property made constructive joins them by far swaps and R3 moves alone, built
+letter by letter in at most ``WORD_CAP`` steps.  Generated movies insert and
+cancel nothing; those steps come from movie files.  Mixed-sign pairs are not
+supported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .braids import (
@@ -43,7 +39,6 @@ from .braids import (
     check_cap,
     check_pair,
     format_braid,
-    garside_delta,
     parse_braid,
 )
 from .errors import MovieGenerationError, MovieValidationError, PreconditionError
@@ -178,90 +173,6 @@ def validate_movie(movie: ChartMovie) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _power_of(letters: tuple[Letter, ...], period: tuple[Letter, ...]) -> int:
-    """The r with ``letters == period * r``, or 0 if there is none."""
-    r = len(letters) // len(period) if period else 0
-    return r if r and letters == period * r else 0
-
-
-def _periods(letters: tuple[Letter, ...], m: int) -> list[int]:
-    """Lengths p of the periods ``s1 .. s_{p-1}`` of a literal power of
-    ``delta = s1 .. s_{m-1}`` (p = m) or of ``Delta = delta_m delta_{m-1} ..
-    delta_1`` (p = m, m-1, .., 1); empty for any other word."""
-    r = _power_of(letters, tuple((i, 1) for i in range(1, m)))
-    # Delta has m(m-1)/2 letters: build it only if the word can be a power of it
-    fits = 0 < m * (m - 1) // 2 <= len(letters)
-    k = _power_of(letters, garside_delta(m).letters) if fits else 0
-    return [m] * r or list(range(m, 0, -1)) * k
-
-
-def _reconnect(s: int, index: int) -> list[Step]:
-    """Bookkeeping trace of two same-letter strands meeting at position s."""
-    return [InsertPair(s + 1, index, -1), CancelPair(s)]
-
-
-def _descend(s: int, cur: int, p: int) -> list[Step]:
-    """Slide ``s_cur`` (2 <= cur < p) through one period ``s1 .. s_{p-1}``.
-
-    The slider far-swaps past s1 .. s_{cur-2}, crosses the period's own
-    ``s_{cur-1} s_cur`` in a single negative triple point, and the freed
-    ``s_{cur-1}`` far-swaps out past s_{cur+1} .. s_{p-1}.  Net effect:
-    ``s_cur delta_p = delta_p s_{cur-1}``, slider advances p-1 positions.
-    """
-    steps: list[Step] = [FarSwap(s + t) for t in range(cur - 2)]
-    steps.append(R3(s + cur - 2, -1))
-    steps.extend(FarSwap(s + cur + t) for t in range(p - 1 - cur))
-    return steps
-
-
-def _climb(s: int, p: int) -> list[Step]:
-    """Slide ``s1`` through ``s1 .. s_{p-1}`` and ``s1 .. s_{q-1}`` (q = p or
-    p-1), emerging as ``s_{p-1}``.
-
-    After the reconnection with the first period's s1, each s_j of the second
-    period (j = 1 .. p-2) far-swaps left to follow the first period's
-    s_{j+1}; the slider then climbs one index per positive triple point, and
-    the second period's letters far-swap back out: p-2 triple points and
-    (p-2)(p-3) far swaps.
-    """
-    steps = _reconnect(s, 1)
-    for j in range(1, p - 1):
-        steps.extend(FarSwap(s + x) for x in range(p - 2 + j, 2 * j, -1))
-    steps.extend(R3(s + 2 * j - 1, 1) for j in range(1, p - 1))
-    for j in range(p - 2, 0, -1):
-        steps.extend(FarSwap(s + x) for x in range(2 * j, p - 2 + j))
-    return steps
-
-
-def _through_periods(
-    s: int, c: int, periods: list[int]
-) -> tuple[list[Step], int] | None:
-    """Slide ``s_c`` through consecutive periods ``s1 .. s_{p-1}``, one per p.
-
-    Returns the steps and the index e of the emerging letter.  Below a period
-    the slider descends, at label 1 it climbs this period and the next, and
-    above a period (c > p) it far-swaps past it.  So ``s_c delta^m = delta^m
-    s_c`` and ``s_c Delta = Delta s_{m-c}``.  Returns None if s1 reaches the
-    last period, which it cannot climb alone.
-    """
-    steps: list[Step] = []
-    t = 0
-    while t < len(periods):
-        p = periods[t]
-        if c == 1:
-            if t + 1 == len(periods):
-                return None
-            steps.extend(_climb(s, p))
-            s, c, t = s + p + periods[t + 1] - 2, p - 1, t + 2
-        elif c < p:
-            steps.extend(_descend(s, c, p))
-            s, c, t = s + p - 1, c - 1, t + 1
-        else:
-            steps.extend(FarSwap(s + x) for x in range(p - 1))
-            s, t = s + p - 1, t + 1
-    return steps, c
-
-
 def _positive_path(start: Sequence[Letter], goal: Sequence[Letter]) -> Iterator[Step]:
     """Far swaps and R3 moves from ``start`` to ``goal``, two positive words
     for one braid (Garside's word property, made constructive).
@@ -272,7 +183,9 @@ def _positive_path(start: Sequence[Letter], goal: Sequence[Letter]) -> Iterator[
     ``s_i`` and ``s_j``: for far j, ``s_i`` is brought to the front of ``W``
     and far-swapped; for adjacent j, ``s_i`` and then ``s_j`` are brought to
     the front of ``W`` and the window ``s_j s_i s_j`` becomes ``s_i s_j s_i``
-    in one triple point.  Raises SearchBudgetExceeded past ``WORD_CAP`` steps.
+    in one triple point.  Each step is legal by construction, so the word is
+    rewritten without checks.  Raises SearchBudgetExceeded past ``WORD_CAP``
+    steps.
     """
     cur = list(start)
     count = 0
@@ -292,52 +205,16 @@ def _positive_path(start: Sequence[Letter], goal: Sequence[Letter]) -> Iterator[
             else:
                 count += 1
                 check_cap(count, "movie", "steps")
-                apply_step(cur, task)
+                p = task.pos
+                if isinstance(task, FarSwap):
+                    cur[p], cur[p + 1] = cur[p + 1], cur[p]
+                else:
+                    cur[p : p + 3] = cur[p + 1], cur[p], cur[p + 1]
                 yield task
 
 
-def _slide_one_letter(
-    c: int, b: BraidWord, periods: list[int], s: int
-) -> tuple[list[Step], int] | None:
-    """Steps turning ``s_c b`` into ``b s_e`` at offset s (positive letters).
-
-    Returns the steps and e, the index the letter emerges with: c, except
-    through periods that do not return it (an odd power of Delta gives m-c).
-    Returns None where no closed form applies.
-    """
-    letters = b.letters
-    if all(i == c or abs(i - c) >= 2 for i, _ in letters):
-        steps: list[Step] = []
-        for t, (i, _) in enumerate(letters):
-            steps.extend(_reconnect(s + t, c) if i == c else [FarSwap(s + t)])
-        return steps, c
-    return _through_periods(s, c, periods) if periods else None
-
-
-def _reversed(start: tuple[Letter, ...], steps: list[Step]) -> list[Step]:
-    """The steps of ``(rev(a), rev(b))`` from the steps that take ``start =
-    a b`` to ``b a``: the same steps on reversed words, read backwards.
-    Triple points change sign, and insertions and cancellations trade
-    places."""
-    letters = list(start)
-    out: list[Step] = []
-    for st in steps:
-        n = len(letters)
-        if isinstance(st, FarSwap):
-            out.append(FarSwap(n - 2 - st.pos))
-        elif isinstance(st, R3):
-            out.append(R3(n - 3 - st.pos, -st.sign))
-        elif isinstance(st, InsertPair):
-            out.append(CancelPair(n - st.pos))
-        else:
-            i, sign = letters[st.pos]
-            out.append(InsertPair(n - 2 - st.pos, i, -sign))
-        apply_step(letters, st)
-    return out[::-1]
-
-
 def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
-    """Movie from ``a b`` to ``b a`` sliding a's letters rightmost-first.
+    """Movie from ``a b`` to ``b a`` made of far swaps and triple points.
 
     Preconditions: equal degrees and ``ab = ba``.  All letters of both words
     must carry the same crossing sign (a pair and its mirror are supported;
@@ -351,8 +228,9 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
 
 
 def _slide_steps(a: BraidWord, b: BraidWord) -> list[Step]:
-    """The steps of :func:`slide_movie` for a pair already known to commute;
-    the mirror and the reversed pair commute too, so recursion checks none."""
+    """The steps of :func:`slide_movie` for a pair already known to commute:
+    the positive path from ``a b`` to ``b a``, or the mirror's with every
+    triple point's sign negated."""
     signs = {s for _, s in a.letters} | {s for _, s in b.letters}
     if signs == {1, -1}:
         raise MovieGenerationError(
@@ -360,27 +238,10 @@ def _slide_steps(a: BraidWord, b: BraidWord) -> list[Step]:
         )
     if signs == {-1}:
         return [
-            st if isinstance(st, (FarSwap, CancelPair)) else replace(st, sign=-st.sign)
+            R3(st.pos, -st.sign) if isinstance(st, R3) else st
             for st in _slide_steps(*mirror_chart(a, b))
         ]
-    m = a.degree
-    periods = _periods(b.letters, m)
-    if not periods and _periods(b.letters[::-1], m):
-        ar, br = a.reverse(), b.reverse()
-        return _reversed((ar * br).letters, _slide_steps(ar, br))
-    steps, emerged = [], list(a.letters)
-    for k in range(len(a.letters) - 1, -1, -1):
-        slid = _slide_one_letter(a.letters[k][0], b, periods, k)
-        if slid is None:
-            return list(_positive_path((a * b).letters, (b * a).letters))
-        steps.extend(slid[0])
-        emerged[k] = (slid[1], 1)
-    if emerged != list(a.letters):
-        # b (emerged) = a b = b a, so the emerged word equals a as a
-        # positive braid and far swaps and triple points join the two
-        path = _positive_path(emerged, a.letters)
-        steps.extend(replace(st, pos=st.pos + len(b.letters)) for st in path)
-    return steps
+    return list(_positive_path((a * b).letters, (b * a).letters))
 
 
 def mirror_chart(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord]:

@@ -1,18 +1,32 @@
 """Reference implementations and helpers that only the tests use.
 
 None of these is on a command's path: the library answers each question
-another way (the word search by ``movies._positive_path``, the Boltzmann
-exponent by the linear sum in ``cocycle_invariant``).
+another way (the word search and the closed-form slides by
+``movies._positive_path``, the Boltzmann exponent by the linear sum in
+``cocycle_invariant``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from math import gcd
 
 from torusbraid.artin import FreeLetter, FreeWord
+from torusbraid.braids import BraidWord, Letter, garside_delta
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
-from torusbraid.movies import R3, FarSwap, Step, r3_window_sign
+from torusbraid.movies import (
+    R3,
+    CancelPair,
+    ChartMovie,
+    FarSwap,
+    InsertPair,
+    Step,
+    _positive_path,
+    apply_step,
+    mirror_chart,
+    r3_window_sign,
+)
 from torusbraid.presentations import AbelianInvariants
 from torusbraid.quandles import TriplePoint, mochizuki_theta
 
@@ -71,6 +85,144 @@ def word_path(start: list, goal: list, states: int = 50_000) -> list[Step] | Non
         cur = parent
     path.reverse()
     return path
+
+
+# ---------------------------------------------------------------------------
+# closed-form slides: a's letters slid through b one at a time, rightmost
+# first, when b or its reversal is a literal power of delta or Delta, or when
+# every letter of b equals the slider or is far from it
+# ---------------------------------------------------------------------------
+
+
+def _power_of(letters: tuple[Letter, ...], period: tuple[Letter, ...]) -> int:
+    """The r with ``letters == period * r``, or 0 if there is none."""
+    r = len(letters) // len(period) if period else 0
+    return r if r and letters == period * r else 0
+
+
+def _periods(letters: tuple[Letter, ...], m: int) -> list[int]:
+    """Lengths p of the periods ``s1 .. s_{p-1}`` of a literal power of
+    ``delta = s1 .. s_{m-1}`` (p = m) or of ``Delta = delta_m delta_{m-1} ..
+    delta_1`` (p = m, m-1, .., 1); empty for any other word."""
+    r = _power_of(letters, tuple((i, 1) for i in range(1, m)))
+    fits = 0 < m * (m - 1) // 2 <= len(letters)
+    k = _power_of(letters, garside_delta(m).letters) if fits else 0
+    return [m] * r or list(range(m, 0, -1)) * k
+
+
+def _reconnect(s: int, index: int) -> list[Step]:
+    """Bookkeeping trace of two same-letter strands meeting at position s."""
+    return [InsertPair(s + 1, index, -1), CancelPair(s)]
+
+
+def _descend(s: int, cur: int, p: int) -> list[Step]:
+    """Slide ``s_cur`` (2 <= cur < p) through one period ``s1 .. s_{p-1}``:
+    ``s_cur delta_p = delta_p s_{cur-1}`` in one negative triple point."""
+    steps: list[Step] = [FarSwap(s + t) for t in range(cur - 2)]
+    steps.append(R3(s + cur - 2, -1))
+    steps.extend(FarSwap(s + cur + t) for t in range(p - 1 - cur))
+    return steps
+
+
+def climb(s: int, p: int) -> list[Step]:
+    """Slide ``s1`` through ``s1 .. s_{p-1}`` and ``s1 .. s_{q-1}`` (q = p or
+    p-1), emerging as ``s_{p-1}``: a reconnection, p-2 positive triple points
+    and (p-2)(p-3) far swaps."""
+    steps = _reconnect(s, 1)
+    for j in range(1, p - 1):
+        steps.extend(FarSwap(s + x) for x in range(p - 2 + j, 2 * j, -1))
+    steps.extend(R3(s + 2 * j - 1, 1) for j in range(1, p - 1))
+    for j in range(p - 2, 0, -1):
+        steps.extend(FarSwap(s + x) for x in range(2 * j, p - 2 + j))
+    return steps
+
+
+def _through_periods(s: int, c: int, periods: list[int]) -> tuple[list[Step], int] | None:
+    """Slide ``s_c`` through consecutive periods, one per p; the steps and
+    the index of the emerging letter, or None if s1 reaches the last period."""
+    steps: list[Step] = []
+    t = 0
+    while t < len(periods):
+        p = periods[t]
+        if c == 1:
+            if t + 1 == len(periods):
+                return None
+            steps.extend(climb(s, p))
+            s, c, t = s + p + periods[t + 1] - 2, p - 1, t + 2
+        elif c < p:
+            steps.extend(_descend(s, c, p))
+            s, c, t = s + p - 1, c - 1, t + 1
+        else:
+            steps.extend(FarSwap(s + x) for x in range(p - 1))
+            s, t = s + p - 1, t + 1
+    return steps, c
+
+
+def _slide_one_letter(c: int, b: BraidWord, periods: list[int], s: int) -> tuple[list[Step], int] | None:
+    """Steps turning ``s_c b`` into ``b s_e`` at offset s, and e; or None."""
+    if all(i == c or abs(i - c) >= 2 for i, _ in b.letters):
+        steps: list[Step] = []
+        for t, (i, _) in enumerate(b.letters):
+            steps.extend(_reconnect(s + t, c) if i == c else [FarSwap(s + t)])
+        return steps, c
+    return _through_periods(s, c, periods) if periods else None
+
+
+def _reversed(start: tuple[Letter, ...], steps: list[Step]) -> list[Step]:
+    """The steps of ``(rev(a), rev(b))`` from those taking ``start = a b`` to
+    ``b a``: the same steps on reversed words, read backwards."""
+    letters = list(start)
+    out: list[Step] = []
+    for st in steps:
+        n = len(letters)
+        if isinstance(st, FarSwap):
+            out.append(FarSwap(n - 2 - st.pos))
+        elif isinstance(st, R3):
+            out.append(R3(n - 3 - st.pos, -st.sign))
+        elif isinstance(st, InsertPair):
+            out.append(CancelPair(n - st.pos))
+        else:
+            i, sign = letters[st.pos]
+            out.append(InsertPair(n - 2 - st.pos, i, -sign))
+        apply_step(letters, st)
+    return out[::-1]
+
+
+def _closed_form_steps(a: BraidWord, b: BraidWord) -> list[Step] | None:
+    """The closed-form steps from ``a b`` to ``b a`` for a positive
+    commuting pair, or None where no closed form applies."""
+    m = a.degree
+    periods = _periods(b.letters, m)
+    if not periods and _periods(b.letters[::-1], m):
+        ar, br = a.reverse(), b.reverse()
+        steps = _closed_form_steps(ar, br)
+        return None if steps is None else _reversed((ar * br).letters, steps)
+    steps: list[Step] = []
+    emerged = list(a.letters)
+    for k in range(len(a.letters) - 1, -1, -1):
+        slid = _slide_one_letter(a.letters[k][0], b, periods, k)
+        if slid is None:
+            return None
+        steps.extend(slid[0])
+        emerged[k] = (slid[1], 1)
+    if emerged != list(a.letters):
+        # an odd power of Delta flips the letters' indices: put them back
+        path = _positive_path(emerged, a.letters)
+        steps.extend(replace(st, pos=st.pos + len(b.letters)) for st in path)
+    return steps
+
+
+def closed_form_movie(a: BraidWord, b: BraidWord) -> ChartMovie | None:
+    """The closed-form movie of a one-sign commuting pair, mirrored for an
+    all-negative pair, or None where no closed form applies.  Not validated."""
+    negative = any(s < 0 for _, s in a.letters + b.letters)
+    steps = _closed_form_steps(*(mirror_chart(a, b) if negative else (a, b)))
+    if steps is None:
+        return None
+    if negative:
+        steps = [st if isinstance(st, (FarSwap, CancelPair)) else replace(st, sign=-st.sign)
+                 for st in steps]
+    return ChartMovie(a.degree, a, b, tuple(steps))
 
 
 def boltzmann_exponent(points: list[TriplePoint]) -> int:

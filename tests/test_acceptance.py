@@ -100,11 +100,11 @@ def test_criterion_03_coloring_census():
 
 def test_criterion_04_triple_point_fixture():
     movie = slide_movie(A4, B4)
-    assert movie.r3_count() == 20
+    assert movie.r3_count() == 12
     q = dihedral_quandle(3)
     a, b, c = 0, 1, 2  # the distinct coloring, base vector (a, a, c, c)
     pts = triple_points(movie, (a, a, c, c), q)
-    assert len(pts) == 20
+    assert len(pts) == 12
     exponent = boltzmann_exponent(pts)
     assert exponent == 2
     product = (
@@ -114,7 +114,7 @@ def test_criterion_04_triple_point_fixture():
         + mochizuki_theta(b, c, a)
     ) % 3
     assert exponent == product
-    print("ACCEPTANCE 4 PASS: 20 triple points reduce to exponent 2, "
+    print("ACCEPTANCE 4 PASS: 12 triple points reduce to exponent 2, "
           "matching the four-factor weight product")
 
 

@@ -447,8 +447,8 @@ def test_cyclic_group_table_past_the_cap_exits_3(capsys):
     assert (code, out.splitlines()[:2]) == (0, ["group: Z1000", "homomorphisms: 1000"])
 
 
-# pairs with no closed-form slide, each joined by the positive path: Delta
-# spelled otherwise, a power of delta not divisible by the degree, and shears
+# pairs whose b is no literal power of delta or Delta: Delta spelled
+# otherwise, a power of delta not divisible by the degree, and shears
 # tau^2 = (a, b a^2) of two delta^4 pairs and of (s1 s3, Delta^4)
 @pytest.mark.parametrize("m, a, b, text", [
     pytest.param("4", "1 3", "1 3 2 1 3 2", "3\ncoefficients: 3 0 0\n",
@@ -474,6 +474,11 @@ def test_movie_past_the_step_cap_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "cocycle", "-m", "4", "-a", "1 3", "-b", "1 3 2 1 3 2")
     assert (code, out) == (3, "")
     assert err == "undecided: movie reaches 7 steps, over the cap of 6\n"
+    # a power of delta takes the same path and the same cap: 30,100 steps
+    monkeypatch.setattr(torusbraid.braids, "WORD_CAP", 10_000)
+    code, out, err = run(capsys, "cocycle", "-m", "4", "-a", "1^100", "-b", "(1 2 3)^200")
+    assert (code, out) == (3, "")
+    assert err == "undecided: movie reaches 10001 steps, over the cap of 10000\n"
 
 
 def test_quotients_rejects_unknown_group(capsys):

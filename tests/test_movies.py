@@ -34,7 +34,7 @@ from torusbraid.movies import (
 )
 from torusbraid.quandles import cocycle_invariant
 
-from oracles import word_path
+from oracles import climb, closed_form_movie, word_path
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "acceptance_movie.txt")
 
@@ -103,12 +103,12 @@ def test_slide_movie_single_letter():
 def test_slide_movie_acceptance_pair_shape():
     movie = slide_movie(ACCEPT_A, ACCEPT_B)
     validate_movie(movie)
-    assert len(movie.steps) == 50
-    assert movie.r3_count() == 20
+    assert len(movie.steps) == 20
+    assert movie.r3_count() == 12
 
 
 def test_slide_movie_uniform_power_route():
-    # b a power of a single generator: sliding uses reconnects only
+    # b a power of a single generator: a b and b a are one word
     a = word(3, [1, 1])
     b = word(3, [1, 1, 1])
     movie = slide_movie(a, b)
@@ -128,19 +128,15 @@ def test_slide_movie_degree_five_climb():
     movie = slide_movie(a, b)
     validate_movie(movie)
     assert movie.r3_count() == 6
-    assert len(movie.steps) == 20
+    assert len(movie.steps) == 18
 
 
 def test_slide_movie_low_degree_climbs_pinned():
-    # s1 through delta^m climbs two periods, then descends: at degrees 3 and
-    # 4 these are the whole step lists, climb included
+    # s1 through delta^m: at degrees 3 and 4 these are the whole step lists
     movie = slide_movie(word(3, [1]), word(3, [1, 2]) ** 3)
-    assert movie.steps == (
-        InsertPair(1, 1, -1), CancelPair(0), R3(1, 1), R3(4, -1),
-    )
+    assert movie.steps == (R3(1, 1), R3(4, -1))
     movie = slide_movie(word(4, [1]), word(4, [1, 2, 3]) ** 4)
     assert movie.steps == (
-        InsertPair(1, 1, -1), CancelPair(0),
         FarSwap(3), R3(1, 1), R3(3, 1), FarSwap(2),
         FarSwap(6), R3(7, -1), R3(9, -1), FarSwap(11),
     )
@@ -149,25 +145,25 @@ def test_slide_movie_low_degree_climbs_pinned():
 @pytest.mark.parametrize("m", range(3, 11))
 def test_closed_form_climb_is_minimal(m):
     # s1 delta delta -> delta delta s_{m-1}, and through the two periods of
-    # lengths m and m-1 that a slide through Delta climbs
+    # lengths m and m-1 that a slide through Delta climbs: the positive path
+    # makes as few triple points as the closed-form climb
     delta = [(i, 1) for i in range(1, m)]
     for second in (delta, delta[:-1]):
         start = [(1, 1)] + delta + second
         goal = delta + second + [(m - 1, 1)]
-        steps = movies._climb(0, m)
-        letters = list(start)
-        for idx, step in enumerate(steps):
-            apply_step(letters, step, idx)
-        assert letters == goal
-        assert sum(isinstance(st, R3) for st in steps) == m - 2
-        assert sum(isinstance(st, FarSwap) for st in steps) == (m - 2) * (m - 3)
+        for steps in (list(movies._positive_path(start, goal)), climb(0, m)):
+            letters = list(start)
+            for idx, step in enumerate(steps):
+                apply_step(letters, step, idx)
+            assert letters == goal
+            assert sum(isinstance(st, R3) for st in steps) == m - 2
     # the fewest triple points of any far-swap/R3 path through delta delta
     oracle = word_path([(1, 1)] + delta * 2, delta * 2 + [(m - 1, 1)], states=200_000)
     assert sum(isinstance(st, R3) for st in oracle) == m - 2
 
 
-# cocycle state sums of (a, delta^(2m)) at m = 5 and 7, computed by the
-# searched climb that the closed form replaced
+# cocycle state sums of (a, delta^(2m)) at m = 5 and 7, computed from a
+# searched movie, not from the positive path
 DELTA_FAMILY_SUMS = [
     (5, [1, 2, 2, 2, 3, 3, 3, 4], (3, 12, 12), (3, 12, 12)),
     (5, [2, 2, 2, 1], (27, 0, 54), (27, 54, 0)),
@@ -200,27 +196,16 @@ def test_slide_movie_half_twist_mirror_in_place():
         validate_movie(slide_movie(*pair))
 
 
-def test_per_letter_rule_needs_no_search(monkeypatch):
-    def no_path(*args, **kwargs):
-        raise AssertionError("positive path reached")
-
-    monkeypatch.setattr(movies, "_positive_path", no_path)
-    for a, b in (([1], [1, 3, 3]), ([1, 1], [3, 1, 3])):
-        movie = slide_movie(word(4, a), word(4, b))
-        validate_movie(movie)
-        assert movie.r3_count() == 0
-
-
 def test_slide_movie_label_one_on_the_last_period():
-    # s2 descends to s1 in the first period of delta^2 and cannot climb
-    # alone, so the whole pair takes the positive path; ab and ba are one word
+    # a is delta at degree 3 and b its square: ab and ba are one word
     a, b = word(3, [1, 2]), word(3, [1, 2]) ** 2
     assert slide_movie(a, b).steps == ()
     assert str(cocycle_invariant(a, b)) == "3"
 
 
 def test_slide_movie_positive_path_fallback(monkeypatch):
-    # s2 is adjacent to s1 and b has no periods: no closed form applies
+    # every pair, a power of delta or not, takes one path on the whole pair;
+    # a negative pair takes its mirror's
     calls = []
     path = movies._positive_path
 
@@ -229,18 +214,12 @@ def test_slide_movie_positive_path_fallback(monkeypatch):
         return path(start, goal)
 
     monkeypatch.setattr(movies, "_positive_path", spy)
-    a, b = word(3, [2]), word(3, [1, 2, 2, 1])
-    validate_movie(slide_movie(a, b))
-    assert calls == [((a * b).letters, (b * a).letters)]
-
-
-def _path_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
-    """The movie the positive path alone makes for a one-sign pair."""
-    sign = -1 if any(s < 0 for _, s in a.letters + b.letters) else 1
-    pa, pb = mirror_chart(a, b) if sign < 0 else (a, b)
-    steps = movies._positive_path((pa * pb).letters, (pb * pa).letters)
-    return ChartMovie(a.degree, a, b, tuple(
-        R3(st.pos, sign * st.sign) if isinstance(st, R3) else st for st in steps))
+    for a, b in ((word(3, [2]), word(3, [1, 2, 2, 1])), (ACCEPT_A, ACCEPT_B),
+                 mirror_chart(ACCEPT_A, ACCEPT_B)):
+        calls.clear()
+        validate_movie(slide_movie(a, b))
+        pa, pb = mirror_chart(a, b) if a.letters[0][1] < 0 else (a, b)
+        assert calls == [((pa * pb).letters, (pb * pa).letters)]
 
 
 def _closed_form_pairs() -> list[tuple[BraidWord, BraidWord]]:
@@ -262,11 +241,15 @@ def _closed_form_pairs() -> list[tuple[BraidWord, BraidWord]]:
 
 
 def test_positive_path_state_sums_match_the_closed_forms():
+    # the closed-form slides that the positive path replaced, as the oracle:
+    # equal state sums, and the path is never the longer movie
     for a, b in _closed_form_pairs():
         for pair in ((a, b), mirror_chart(a, b)):
+            oracle = closed_form_movie(*pair)
+            assert oracle is not None, pair
             # a supplied movie is validated before it is replayed
-            movie = _path_movie(*pair)
-            assert cocycle_invariant(*pair, movie=movie) == cocycle_invariant(*pair), pair
+            assert cocycle_invariant(*pair, movie=oracle) == cocycle_invariant(*pair), pair
+            assert len(slide_movie(*pair).steps) <= len(oracle.steps), pair
 
 
 @st.composite
@@ -289,7 +272,7 @@ def test_positive_path_on_a_long_word_needs_no_recursion():
     rng = random.Random(6)
     w = word(6, [rng.randint(1, 5) for _ in range(1500)])
     d2 = garside_delta(6) ** 2
-    validate_movie(_path_movie(w, d2))
+    validate_movie(slide_movie(w, d2))
     validate_movie(slide_movie(d2, w))
 
 
@@ -301,6 +284,11 @@ def test_positive_path_stops_past_the_step_cap(monkeypatch):
     monkeypatch.setattr(braids, "WORD_CAP", 6)
     with pytest.raises(SearchBudgetExceeded, match="^movie reaches 7 steps, over the cap of 6$"):
         slide_movie(*pair)
+    # a power of delta takes 30,100 steps, and the cap stops it too
+    monkeypatch.setattr(braids, "WORD_CAP", 10_000)
+    with pytest.raises(SearchBudgetExceeded,
+                       match="^movie reaches 10001 steps, over the cap of 10000$"):
+        slide_movie(word(4, [1]) ** 100, word(4, [1, 2, 3]) ** 200)
 
 
 def test_slide_movie_mirror_pair():
@@ -309,6 +297,8 @@ def test_slide_movie_mirror_pair():
     movie = slide_movie(am, bm)
     validate_movie(movie)
     assert movie.r3_count() == 20
+    # every crossing of the acceptance pair reversed in place
+    assert slide_movie(*mirror_chart(ACCEPT_A, ACCEPT_B)).r3_count() == 12
 
 
 def test_slide_movie_rejects_noncommuting():
