@@ -15,17 +15,18 @@ concatenated word ``a b`` into ``b a``:
 * ``InsertPair(p, i, sign)`` -- insert ``s_i^sign s_i^-sign`` at position p.
 
 Any valid movie between ``a b`` and ``b a`` describes the same embedded
-surface, so downstream weights computed from movies do not depend on which
-movie is used -- only on the pair.  Its number of R3 steps bounds the triple
-point number of that surface from above.
+surface; its number of R3 steps bounds the triple point number from above.
+Weights computed from movies should depend only on the pair, but the cocycle
+state sum still depends on the movie once it has triple points of both
+crossing signs (see :func:`torusbraid.quandles.cocycle_invariant`).
 
 :func:`slide_movie` generates a movie for every commuting pair whose letters
-all carry one crossing sign.  ``a b`` and ``b a`` are then two positive words
-for one braid (after mirroring an all-negative pair), and Garside's word
-property made constructive joins them by far swaps and R3 moves alone, built
-letter by letter in at most ``WORD_CAP`` steps.  Generated movies insert and
-cancel nothing; those steps come from movie files.  Mixed-sign pairs are not
-supported.
+all carry one crossing sign.  ``a b`` and ``b a`` are then two words of one
+sign for one braid, and Garside's word property made constructive joins them
+by far swaps and R3 moves alone, built letter by letter in at most
+``WORD_CAP`` steps; the path reads only letter indices, so either sign takes
+it.  Generated movies insert and cancel nothing; those steps come from movie
+files.  Mixed-sign pairs are not supported.
 """
 
 from __future__ import annotations
@@ -174,18 +175,18 @@ def validate_movie(movie: ChartMovie) -> None:
 
 
 def _positive_path(start: Sequence[Letter], goal: Sequence[Letter]) -> Iterator[Step]:
-    """Far swaps and R3 moves from ``start`` to ``goal``, two positive words
-    for one braid (Garside's word property, made constructive).
+    """Far swaps and R3 moves from ``start`` to ``goal``, two words of one
+    sign for one braid (Garside's word property, made constructive).
 
     Each letter of ``goal``, left to right, is brought to its place q in the
-    current word.  The suffixes from q on are one positive braid, so the
-    letter ``s_i`` left-divides the suffix ``s_j W``, and so does the lcm of
-    ``s_i`` and ``s_j``: for far j, ``s_i`` is brought to the front of ``W``
-    and far-swapped; for adjacent j, ``s_i`` and then ``s_j`` are brought to
-    the front of ``W`` and the window ``s_j s_i s_j`` becomes ``s_i s_j s_i``
-    in one triple point.  Each step is legal by construction, so the word is
-    rewritten without checks.  Raises SearchBudgetExceeded past ``WORD_CAP``
-    steps.
+    current word.  The suffixes from q on are one braid, so the letter
+    ``s_i`` left-divides the suffix ``s_j W``, and so does the lcm of ``s_i``
+    and ``s_j``: for far j, ``s_i`` is brought to the front of ``W`` and
+    far-swapped; for adjacent j, ``s_i`` and then ``s_j`` are brought to the
+    front of ``W`` and the window ``s_j s_i s_j`` becomes ``s_i s_j s_i`` in
+    one triple point, signed by the window's letters.  Each step is legal by
+    construction, so the word is rewritten without checks.  Raises
+    SearchBudgetExceeded past ``WORD_CAP`` steps.
     """
     cur = list(start)
     count = 0
@@ -201,7 +202,7 @@ def _positive_path(start: Sequence[Letter], goal: Sequence[Letter]) -> Iterator[
                 if abs(i - j) >= 2:
                     todo += [FarSwap(p), (i, p + 1)]
                 elif i != j:
-                    todo += [R3(p, r3_window_sign(j, i, 1)), (j, p + 2), (i, p + 1)]
+                    todo += [R3(p, r3_window_sign(j, i, cur[p][1])), (j, p + 2), (i, p + 1)]
             else:
                 count += 1
                 check_cap(count, "movie", "steps")
@@ -222,26 +223,14 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
     being handed back.
     """
     check_pair(a, b)
-    movie = ChartMovie(a.degree, a, b, tuple(_slide_steps(a, b)))
-    validate_movie(movie)
-    return movie
-
-
-def _slide_steps(a: BraidWord, b: BraidWord) -> list[Step]:
-    """The steps of :func:`slide_movie` for a pair already known to commute:
-    the positive path from ``a b`` to ``b a``, or the mirror's with every
-    triple point's sign negated."""
-    signs = {s for _, s in a.letters} | {s for _, s in b.letters}
-    if signs == {1, -1}:
+    if len({s for _, s in a.letters + b.letters}) > 1:
         raise MovieGenerationError(
             "mixed-sign pairs are not supported by the slide generator"
         )
-    if signs == {-1}:
-        return [
-            R3(st.pos, -st.sign) if isinstance(st, R3) else st
-            for st in _slide_steps(*mirror_chart(a, b))
-        ]
-    return list(_positive_path((a * b).letters, (b * a).letters))
+    steps = tuple(_positive_path((a * b).letters, (b * a).letters))
+    movie = ChartMovie(a.degree, a, b, steps)
+    validate_movie(movie)
+    return movie
 
 
 def mirror_chart(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord]:

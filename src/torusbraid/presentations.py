@@ -11,18 +11,12 @@ integers, while :func:`torus_abelianization` builds no matrix: H_1 of a pair's
 link group is free on the orbits of its strand permutations; and
 :func:`finite_quotient_count` counts homomorphisms onto small finite groups by
 exhaustive enumeration.
-
-Presentations carry ``marked`` words -- named free-group words that are mapped
-through every Tietze substitution.  The presentation built here marks the
-meridian product ``x1 .. xm`` under the name ``"boundary"``; it equals the
-image of the braid-axis meridian and is what powers the central quotients of
-:func:`central_twist_relator`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .artin import (
@@ -40,16 +34,14 @@ TUPLE_CAP = 10**8
 
 @dataclass
 class GroupPresentation:
-    """``< generators | relators >`` plus named marked words.
+    """``< generators | relators >``.
 
     ``generators[k]`` is the display name of free-group index ``k+1``.
-    Relators are reduced free words; marked words ride along through
-    eliminations but impose nothing.
+    Relators are reduced free words.
     """
 
     generators: tuple[str, ...]
     relators: tuple[FreeWord, ...]
-    marked: dict[str, FreeWord] = field(default_factory=dict)
 
     @property
     def rank(self) -> int:
@@ -82,7 +74,7 @@ def torus_covering_group(a: BraidWord, b: BraidWord) -> GroupPresentation:
             rel = letters[1:] if letters[:1] == ((j, 1),) else ((j, -1),) + letters
             if rel:
                 relators.append(FreeWord(m, rel))
-    return GroupPresentation(names, tuple(relators), {"boundary": boundary_word(m)})
+    return GroupPresentation(names, tuple(relators))
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +112,14 @@ def tietze_eliminate(p: GroupPresentation) -> GroupPresentation:
 
     Repeatedly: find the first relator containing a generator with exactly one
     occurrence (counting both signs), solve the relator for that generator,
-    substitute everywhere (including marked words), and drop the relator and
-    the generator.  Only free reduction and removal of empty/duplicate
-    relators are applied besides that, so the group is unchanged and the
-    procedure is deterministic.  Relators past ``braids.WORD_CAP`` letters in
-    total after a substitution raise :class:`SearchBudgetExceeded`.
+    substitute everywhere, and drop the relator and the generator.  Only free
+    reduction and removal of empty/duplicate relators are applied besides
+    that, so the group is unchanged and the procedure is deterministic.
+    Relators past ``braids.WORD_CAP`` letters in total after a substitution
+    raise :class:`SearchBudgetExceeded`.
     """
     names = list(p.generators)
     relators = _clean([free_reduce(r) for r in p.relators])
-    marked = {k: free_reduce(v) for k, v in p.marked.items()}
 
     while True:
         target: tuple[int, int] | None = None  # (relator index, generator)
@@ -154,11 +145,10 @@ def tietze_eliminate(p: GroupPresentation) -> GroupPresentation:
         replacement = solved.inverse() if rel.letters[pos][1] > 0 else solved
         relators = [_substitute(r, gi, replacement) for r in relators]
         check_cap(sum(len(r.letters) for r in relators), "the Tietze relator total")
-        marked = {k: _substitute(v, gi, replacement) for k, v in marked.items()}
         del names[gi - 1]
         relators = _clean(relators)
 
-    return GroupPresentation(tuple(names), tuple(relators), marked)
+    return GroupPresentation(tuple(names), tuple(relators))
 
 
 def add_relator(p: GroupPresentation, w: FreeWord) -> GroupPresentation:
@@ -169,24 +159,27 @@ def add_relator(p: GroupPresentation, w: FreeWord) -> GroupPresentation:
         )
     w = free_reduce(w)
     relators = p.relators + ((w,) if w.letters else ())
-    return GroupPresentation(p.generators, relators, dict(p.marked))
+    return GroupPresentation(p.generators, relators)
 
 
 def central_twist_relator(p: GroupPresentation, b: BraidWord) -> FreeWord:
     """The central word to kill when the second braid is a half-twist power.
 
-    If ``b = Delta^k``, the presentation's relators already force the marked
-    boundary word ``W`` to satisfy: for even ``k``, the second family of
+    If ``b = Delta^k``, the relators of the meridian presentation ``p`` of
+    :func:`torus_covering_group` force the boundary word ``W = x1 .. xm``, the
+    image of the braid-axis meridian: for even ``k``, the second family of
     relations says exactly that ``W^(k/2)`` is central; for odd ``k`` they
     imply ``W^k`` central (apply the braid relation twice).  The returned word
-    is ``W^(k/2)`` resp. ``W^k`` in the presentation's current generators.
-    Raises a precondition error if ``b`` is not a half-twist power or the
-    presentation does not carry a ``"boundary"`` marked word.
+    is ``W^(k/2)`` resp. ``W^k``.  Raises a precondition error if ``b`` is not
+    a half-twist power or ``p`` is not on ``x1 .. xm``, as after a Tietze
+    elimination.
     """
     exponent = _central_exponent(b)
-    if "boundary" not in p.marked:
-        raise PreconditionError("presentation has no marked boundary word")
-    return free_reduce(p.marked["boundary"] ** exponent)
+    if p.generators != tuple(f"x{j}" for j in range(1, b.degree + 1)):
+        raise PreconditionError(
+            "central quotient requires the meridian presentation on x1 .. xm"
+        )
+    return free_reduce(boundary_word(b.degree) ** exponent)
 
 
 def _central_exponent(b: BraidWord) -> int:

@@ -22,11 +22,11 @@ Weights.  Every triple point of a movie (an R3 step) picks up the Mochizuki
 of the three strands involved, read bottom to top just before the move; the
 Boltzmann exponent of a coloring is the sign-weighted sum.  The cocycle
 invariant :func:`cocycle_invariant` is the sum of ``t^exponent`` over all
-colorings, an element of the group ring Z[Z/3] -- and it does not depend on
-which movie realizes the pair, only on the pair itself.  The triple points'
-order and signs do not depend on the coloring, and their colors are linear in
-it, so the movie is replayed once per generator of the colorings, not once per
-coloring.
+colorings, an element of the group ring Z[Z/3], meant to depend on the pair
+alone; a movie with triple points of both crossing signs can change it.  The
+triple points' order and signs do not depend on the coloring, and their
+colors are linear in it, so the movie is replayed once per generator of the
+colorings, not once per coloring.
 """
 
 from __future__ import annotations
@@ -249,10 +249,11 @@ def cocycle_invariant(
     """State sum ``sum_colorings t^(Boltzmann exponent)`` over R_3 colorings.
 
     A movie may be supplied (it is validated and must belong to the pair);
-    otherwise :func:`slide_movie` generates one.  The value is independent of
-    the choice of movie.  Either way the pair is checked once: a generated
-    movie checks it, and a valid movie proves ``ab = ba``, since every step
-    is a braid relation or a free cancellation.
+    otherwise :func:`slide_movie` generates one.  The value is meant not to
+    depend on the movie, but a supplied movie with triple points of both
+    crossing signs can change it.  Either way the pair is checked once: a
+    generated movie checks it, and a valid movie proves ``ab = ba``, since
+    every step is a braid relation or a free cancellation.
 
     The colorings are the sums ``sum k_t step_t`` of :func:`_coloring_generators`
     and the triple points' colors are linear in them, so the movie is replayed

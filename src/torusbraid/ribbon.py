@@ -367,6 +367,13 @@ class CableDecomposition:
         return self.block_size * self.block_count
 
 
+def _check_blocks(a: BraidWord, b: BraidWord, n: int, m: int) -> None:
+    if a.degree != n * m or b.degree != n * m:
+        raise PreconditionError(
+            f"braid degrees ({a.degree}, {b.degree}) do not match {n} x {m} blocks"
+        )
+
+
 def _assemble(start: BraidWord, blocks: tuple[BraidWord, ...]) -> BraidWord:
     """``start`` followed by each ``blocks[j]`` acting inside cable ``j``."""
     n, m = start.degree // len(blocks), len(blocks)
@@ -385,12 +392,8 @@ def verify_decomposition(
     and ``a`` must equal the embedded vertical braids alone (so its tubular
     part is trivial), both as elements of the braid group.
     """
-    if a.degree != witness.degree or b.degree != witness.degree:
-        raise PreconditionError(
-            f"braid degrees ({a.degree}, {b.degree}) do not match "
-            f"{witness.block_size} x {witness.block_count} blocks"
-        )
     n = witness.block_size
+    _check_blocks(a, b, n, witness.block_count)
     return braids_equal(
         b, _assemble(cable_lift(witness.tubular, n), witness.interior)
     ) and braids_equal(a, _assemble(BraidWord(witness.degree, ()), witness.vertical))
@@ -433,10 +436,7 @@ def search_decomposition(
     ``cable_lift(tubular)^-1 * b``, the verticals off ``a``, and
     :func:`verify_decomposition` decides: ``None`` means no witness exists.
     """
-    if a.degree != n * m or b.degree != n * m:
-        raise PreconditionError(
-            f"braid degrees ({a.degree}, {b.degree}) do not match {n} x {m} blocks"
-        )
+    _check_blocks(a, b, n, m)
     if _block_permutation(b, n, m) is None:
         return None
     if _block_permutation(a, n, m) != tuple(range(1, m + 1)):
@@ -484,10 +484,7 @@ def ribbon_verdict(
     vertical cable braid to close to an unknot; any undecided sub-check
     yields ``Unknown``.
     """
-    if a.degree != n * m or b.degree != n * m:
-        raise PreconditionError(
-            f"braid degrees ({a.degree}, {b.degree}) do not match {n} x {m} blocks"
-        )
+    _check_blocks(a, b, n, m)
     check_pair(a, b)
     if witness is None:
         witness = search_decomposition(a, b, n, m)

@@ -449,7 +449,8 @@ def test_cyclic_group_table_past_the_cap_exits_3(capsys):
 
 # pairs whose b is no literal power of delta or Delta: Delta spelled
 # otherwise, a power of delta not divisible by the degree, and shears
-# tau^2 = (a, b a^2) of two delta^4 pairs and of (s1 s3, Delta^4)
+# tau^2 = (a, b a^2) of two delta^4 pairs, of their mirrors and of
+# (s1 s3, Delta^4)
 @pytest.mark.parametrize("m, a, b, text", [
     pytest.param("4", "1 3", "1 3 2 1 3 2", "3\ncoefficients: 3 0 0\n",
                  id="half-twist-spelled-otherwise"),
@@ -459,6 +460,10 @@ def test_cyclic_group_table_past_the_cap_exits_3(capsys):
                  "3 + 6t^2\ncoefficients: 3 0 6\n", id="acceptance-sheared-twice"),
     pytest.param("4", "1 3 1 1 3 3", "(1 2 3)^4 (1 3 1 1 3 3)^2",
                  "9 + 18t\ncoefficients: 9 18 0\n", id="delta-pair-sheared-twice"),
+    pytest.param("4", "-1 -2 -2 -2 -3", "(-1 -2 -3)^4 (-1 -2 -2 -2 -3)^2",
+                 "3 + 6t\ncoefficients: 3 6 0\n", id="acceptance-mirror-sheared-twice"),
+    pytest.param("4", "-1 -3 -1 -1 -3 -3", "(-1 -2 -3)^4 (-1 -3 -1 -1 -3 -3)^2",
+                 "9 + 18t^2\ncoefficients: 9 0 18\n", id="delta-pair-mirror-sheared-twice"),
     pytest.param("4", "1 3", "(1 3 2 1 3 2)^4", "9\ncoefficients: 9 0 0\n",
                  id="half-twist-spelled-otherwise-to-the-fourth"),
 ])

@@ -204,8 +204,8 @@ def test_slide_movie_label_one_on_the_last_period():
 
 
 def test_slide_movie_positive_path_fallback(monkeypatch):
-    # every pair, a power of delta or not, takes one path on the whole pair;
-    # a negative pair takes its mirror's
+    # every pair, a power of delta or not and of either sign, takes one path
+    # on its own words
     calls = []
     path = movies._positive_path
 
@@ -218,8 +218,7 @@ def test_slide_movie_positive_path_fallback(monkeypatch):
                  mirror_chart(ACCEPT_A, ACCEPT_B)):
         calls.clear()
         validate_movie(slide_movie(a, b))
-        pa, pb = mirror_chart(a, b) if a.letters[0][1] < 0 else (a, b)
-        assert calls == [((pa * pb).letters, (pb * pa).letters)]
+        assert calls == [((a * b).letters, (b * a).letters)]
 
 
 def _closed_form_pairs() -> list[tuple[BraidWord, BraidWord]]:
@@ -250,6 +249,29 @@ def test_positive_path_state_sums_match_the_closed_forms():
             # a supplied movie is validated before it is replayed
             assert cocycle_invariant(*pair, movie=oracle) == cocycle_invariant(*pair), pair
             assert len(slide_movie(*pair).steps) <= len(oracle.steps), pair
+
+
+def _one_sign_pairs() -> list[tuple[BraidWord, BraidWord]]:
+    """Seeded pairs at degrees 3-7 of the forms ``(w, w^k)``, ``(w, Delta^2k)``
+    and ``(s_i, delta^mk)``, every other one mirrored."""
+    rng = random.Random(23)
+    pairs = []
+    for m in range(3, 8):
+        delta, d2 = word(m, list(range(1, m))), garside_delta(m) ** 2
+        for _ in range(4):
+            w = word(m, [rng.randint(1, m - 1) for _ in range(rng.randint(1, 6))])
+            k = rng.randint(1, 2)
+            pairs += [(w, w ** (k + 1)), (w, d2 ** k),
+                      (word(m, [rng.randint(1, m - 1)]), delta ** (m * k))]
+    return [mirror_chart(*pair) if n % 2 else pair for n, pair in enumerate(pairs)]
+
+
+def test_negative_pairs_take_the_mirror_path_with_negated_signs():
+    # oracle: slide the mirror pair and negate every triple point's sign
+    for a, b in _one_sign_pairs() + _closed_form_pairs():
+        expected = tuple(R3(st.pos, -st.sign) if isinstance(st, R3) else st
+                         for st in slide_movie(a, b).steps)
+        assert slide_movie(*mirror_chart(a, b)).steps == expected, (a, b)
 
 
 @st.composite

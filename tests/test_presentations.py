@@ -7,7 +7,7 @@ import random
 import pytest
 
 from torusbraid import braids
-from torusbraid.artin import format_free_word, free_word
+from torusbraid.artin import boundary_word, format_free_word, free_word
 from torusbraid.braids import BraidWord, garside_delta, word
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 from torusbraid.presentations import (
@@ -27,7 +27,7 @@ from torusbraid.presentations import (
     torus_covering_group,
 )
 
-from oracles import cyclic_hom_count, parse_free_word
+from oracles import cyclic_hom_count
 
 SPUN_TREFOIL = (word(2, [1, 1, 1]), BraidWord(2, ()))
 
@@ -53,15 +53,12 @@ def test_vertical_identification_relators():
 
 
 def test_tietze_eliminates_redundant_generators():
-    p = torus_covering_group(word(4, [1, 3]), garside_delta(4) ** 2)
-    q = tietze_eliminate(p)
+    b = garside_delta(4) ** 2
+    q = tietze_eliminate(torus_covering_group(word(4, [1, 3]), b))
     assert q.rank == 2
-    assert q.marked["boundary"] == parse_free_word("x1^2 x2^2", 2)
-
-
-def test_marked_boundary_starts_as_product():
-    p = torus_covering_group(*SPUN_TREFOIL)
-    assert p.marked["boundary"] == parse_free_word("x1 x2", 2)
+    # the boundary word x1 .. x4 is not spelled in the generators left
+    with pytest.raises(PreconditionError, match="meridian presentation on x1 .. xm"):
+        central_twist_relator(q, b)
 
 
 def test_central_twist_relator_even_and_odd():
@@ -69,9 +66,7 @@ def test_central_twist_relator_even_and_odd():
     for k, expected_power in ((2, 1), (4, 2), (3, 3), (5, 5)):
         b = garside_delta(4) ** k
         p = torus_covering_group(a, b)
-        rel = central_twist_relator(p, b)
-        boundary = p.marked["boundary"]
-        assert rel == boundary ** expected_power
+        assert central_twist_relator(p, b) == boundary_word(4) ** expected_power
 
 
 def test_central_twist_requires_half_twist_power():

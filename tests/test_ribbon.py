@@ -313,8 +313,14 @@ def test_ribbon_verdict_requires_a_commuting_pair():
 
 
 def test_verify_dimension_mismatch():
-    with pytest.raises(PreconditionError):
-        verify_decomposition(word(2, [1]), word(2, [1]), _example_witness())
+    # one message from every entry that takes blocks
+    a, b = word(2, [1]), word(2, [1])
+    msg = r"^braid degrees \(2, 2\) do not match 2 x 2 blocks$"
+    for call in (lambda: verify_decomposition(a, b, _example_witness()),
+                 lambda: search_decomposition(a, b, 2, 2),
+                 lambda: ribbon_verdict(a, b, 2, 2)):
+        with pytest.raises(PreconditionError, match=msg):
+            call()
 
 
 def test_decomposition_field_validation():
