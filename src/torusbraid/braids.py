@@ -414,8 +414,6 @@ def normal_form(w: BraidWord, memo: dict | None = None) -> NormalForm:
     """Left-greedy normal form of the braid represented by ``w``; ``memo``
     holds the left-weighted pairs of one decision."""
     m = w.degree
-    if m == 1:
-        return NormalForm(1, 0, ())
     ident = tuple(range(1, m + 1))
     w0: Perm = tuple(range(m, 0, -1))  # the half-twist permutation i -> m+1-i
     # w = Delta^-r Y_1 ... Y_n: sigma_i^-1 = Delta^-1 (Delta sigma_i^-1), and

@@ -6,9 +6,9 @@ half twist, ``e`` for the empty word), prints deterministic text, and
 offers ``--json`` for versioned machine-readable output.  In ``group --json``
 the relators name generators by position: ``xk`` is the k-th entry of
 ``generators``, whereas the text form spells them with those names.  Exit
-codes: 0 for a completed computation, 2 for a precondition failure, 3 for an
-honest ``Unknown`` verdict, 141 when the reader of the output closes the pipe
-early (as a shell reports a process killed by ``SIGPIPE``).
+codes: 0 for a completed computation, 2 for a ``PreconditionError``, 3 for
+an honest ``Unknown`` verdict, 141 when the reader of the output closes the
+pipe early (as a shell reports a process killed by ``SIGPIPE``).
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from dataclasses import asdict
 
 from .artin import format_free_word
 from .braids import BraidWord, format_braid, parse_braid
-from .errors import (
-    MovieGenerationError,
-    MovieValidationError,
-    PreconditionError,
-    SearchBudgetExceeded,
-)
+from .errors import PreconditionError, SearchBudgetExceeded
 from .movies import read_movie
 from .presentations import (
     FiniteGroup,
@@ -301,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports it
-    except (PreconditionError, MovieValidationError, MovieGenerationError) as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except SearchBudgetExceeded as exc:

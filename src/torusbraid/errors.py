@@ -7,8 +7,8 @@ class PreconditionError(ValueError):
     """An input violates a documented precondition (CLI exit code 2)."""
 
 
-class MovieValidationError(ValueError):
-    """A chart movie contains an illegal step.
+class MovieValidationError(PreconditionError):
+    """A chart movie contains an illegal step (CLI exit code 2).
 
     Carries the index of the first offending step and a human-readable reason.
     """
@@ -19,8 +19,8 @@ class MovieValidationError(ValueError):
         super().__init__(f"illegal step {step_index}: {reason}")
 
 
-class MovieGenerationError(RuntimeError):
-    """Movie generation failed for a pair the generator does not cover.
+class MovieGenerationError(PreconditionError):
+    """The movie generator does not cover this pair (CLI exit code 2).
 
     The message is a diagnostic (which letter got stuck and why), not a proof
     that no movie exists.

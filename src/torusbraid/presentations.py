@@ -424,9 +424,6 @@ def finite_quotient_count(p: GroupPresentation, group: FiniteGroup) -> QuotientC
     """
     g = p.rank
     mult, inv, identity, n = group.mult, group.inverse, group.identity, group.size
-    if g == 0:
-        epi = 1 if n == 1 else 0
-        return QuotientCounts(1, epi, 1)
     if n**g > TUPLE_CAP:
         raise SearchBudgetExceeded(
             f"enumeration of {n}^{g} tuples exceeds the cap of {TUPLE_CAP}"

@@ -27,7 +27,6 @@ from .braids import (
     format_braid,
     iota_embed,
     parse_braid,
-    permutation,
 )
 from .errors import PreconditionError
 
@@ -273,17 +272,16 @@ def _commute_cancel(letters: list[Letter]) -> bool:
 
 
 def _destabilize(degree: int, letters: list[Letter]) -> int:
-    """Remove a top or bottom generator that occurs exactly once."""
-    if degree >= 2:
-        top = [k for k, (i, _) in enumerate(letters) if i == degree - 1]
-        if len(top) == 1:
-            del letters[top[0]]
-            return degree - 1
-        bottom = [k for k, (i, _) in enumerate(letters) if i == 1]
-        if len(bottom) == 1:
-            del letters[bottom[0]]
-            letters[:] = [(i - 1, s) for i, s in letters]
-            return degree - 1
+    """Remove a top or bottom generator occurring exactly once (none on one strand)."""
+    top = [k for k, (i, _) in enumerate(letters) if i == degree - 1]
+    if len(top) == 1:
+        del letters[top[0]]
+        return degree - 1
+    bottom = [k for k, (i, _) in enumerate(letters) if i == 1]
+    if len(bottom) == 1:
+        del letters[bottom[0]]
+        letters[:] = [(i - 1, s) for i, s in letters]
+        return degree - 1
     return degree
 
 
@@ -309,15 +307,15 @@ def unknot_check(beta: BraidWord) -> UnknotVerdict:
     """Three-valued unknot detection for a braid whose closure is a knot.
 
     ``Unknot`` when conjugation-and-destabilization moves shrink the braid
-    to a single strand; ``NotUnknot`` when the Alexander polynomial is
-    nontrivial; ``Unknown`` otherwise.
+    to a single strand; ``NotUnknot`` when the Alexander polynomial of the
+    reduced braid (same closure, so a link is refused there) is nontrivial;
+    ``Unknown`` otherwise.
     """
-    if closure_components(beta) != 1:
-        raise PreconditionError("closure is not a knot (multiple components)")
-    degree = _simplify_closure(beta.degree, list(beta.letters))
+    letters = list(beta.letters)
+    degree = _simplify_closure(beta.degree, letters)
     if degree == 1:
         return UnknotVerdict(UNKNOT, "destabilizes to the braid on one strand")
-    poly = alexander_polynomial(beta)
+    poly = alexander_polynomial(BraidWord(degree, tuple(letters)))
     if poly != _ONE:
         return UnknotVerdict(NOT_UNKNOT, f"alexander polynomial {poly}")
     return UnknotVerdict(
@@ -368,6 +366,8 @@ class CableDecomposition:
 
 
 def _check_blocks(a: BraidWord, b: BraidWord, n: int, m: int) -> None:
+    if n < 1 or m < 1:
+        raise PreconditionError("block size and count must be positive")
     if a.degree != n * m or b.degree != n * m:
         raise PreconditionError(
             f"braid degrees ({a.degree}, {b.degree}) do not match {n} x {m} blocks"
@@ -412,18 +412,6 @@ def _extract_block(w: BraidWord, keep: frozenset[int]) -> BraidWord:
     return BraidWord(len(keep), tuple(out))
 
 
-def _block_permutation(w: BraidWord, n: int, m: int) -> tuple[int, ...] | None:
-    """The induced permutation on blocks of ``n`` strands, if blocks map to blocks."""
-    p = permutation(w)
-    out = []
-    for j in range(m):
-        images = {(p[n * j + t] - 1) // n for t in range(n)}
-        if len(images) != 1:
-            return None
-        out.append(images.pop() + 1)
-    return tuple(out)
-
-
 def search_decomposition(
     a: BraidWord, b: BraidWord, n: int, m: int
 ) -> CableDecomposition | None:
@@ -434,13 +422,10 @@ def search_decomposition(
     cables to the identity.  So the braid ``b`` induces on those strands is
     the tubular braid of any witness.  The interiors are read off
     ``cable_lift(tubular)^-1 * b``, the verticals off ``a``, and
-    :func:`verify_decomposition` decides: ``None`` means no witness exists.
+    :func:`verify_decomposition` alone decides, refuting a wrong block
+    permutation before any normal form: ``None`` means no witness exists.
     """
     _check_blocks(a, b, n, m)
-    if _block_permutation(b, n, m) is None:
-        return None
-    if _block_permutation(a, n, m) != tuple(range(1, m + 1)):
-        return None
     strands = _extract_block(b, frozenset(range(1, n * m + 1, n)))
     tubular = BraidWord(m, free_reduce(FreeWord(m, strands.letters)).letters)
     rem = cable_lift(tubular, n).inverse() * b
@@ -477,10 +462,10 @@ def ribbon_verdict(
 ) -> RibbonVerdict:
     """Certify a commuting pair ribbon via a cabling witness, or say ``Unknown``.
 
-    The witness may be supplied, and is then verified; otherwise it is read
-    off by :func:`search_decomposition`, which returns only a verified one,
-    and ``Unknown`` with "no cable decomposition found" means none exists for
-    these blocks.  ``Ribbon`` requires the witness to verify and every
+    A supplied witness must have ``n x m`` blocks and is then verified;
+    otherwise it is read off by :func:`search_decomposition`, which returns
+    only a verified one, and ``Unknown`` with "no cable decomposition found"
+    means none exists for these blocks.  ``Ribbon`` requires the witness to verify and every
     vertical cable braid to close to an unknot; any undecided sub-check
     yields ``Unknown``.
     """
@@ -490,6 +475,9 @@ def ribbon_verdict(
         witness = search_decomposition(a, b, n, m)
         if witness is None:
             return RibbonVerdict(UNKNOWN, None, (), "no cable decomposition found")
+    elif (witness.block_size, witness.block_count) != (n, m):
+        size = f"{witness.block_size} x {witness.block_count}"
+        raise PreconditionError(f"witness has {size} blocks, not {n} x {m}")
     elif not verify_decomposition(a, b, witness):
         return RibbonVerdict(
             UNKNOWN, None, (), "witness fails the reconstruction identities"

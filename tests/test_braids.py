@@ -161,6 +161,10 @@ def test_normal_form_half_twist_powers():
     assert (nf.infimum, nf.factors) == (-1, ())
 
 
+def test_normal_form_on_one_strand():
+    assert normal_form(BraidWord(1, ())) == NormalForm(1, 0, ())
+
+
 def test_normal_form_frozen_examples():
     nf = normal_form(word(3, [-1]))
     assert (nf.infimum, nf.factors) == (-1, ((3, 1, 2),))

@@ -539,6 +539,38 @@ def test_ribbon_read_off_beyond_former_search_caps(capsys, m, a, b, count):
     assert out.splitlines()[0] == "verdict: Ribbon"
 
 
+def test_ribbon_refuses_non_positive_blocks(capsys):
+    assert run(capsys, "ribbon", "-m", "4", "-a", "e", "-b", "e",
+               "--block-size", "-2", "--block-count", "-2") == (
+        2, "", "error: block size and count must be positive\n")
+
+
+def test_ribbon_refuses_a_witness_for_other_blocks(capsys, tmp_path):
+    # the 1 x 4 witness verifies, but the requested blocks are 2 x 2, for
+    # which the read-off finds a vertical braid that is not a knot
+    path = tmp_path / "witness.txt"
+    path.write_text("blocks 1 x 4\ntubular: D^2\n" + "".join(
+        f"interior{j}: e\nvertical{j}: e\n" for j in range(1, 5)), encoding="utf-8")
+    pair = ["ribbon", "-m", "4", "-a", "e", "-b", "D^2"]
+    assert run(capsys, *pair, "--block-size", "1", "--block-count", "4",
+               "--witness", str(path))[0] == 0
+    assert run(capsys, *pair, *RIBBON22, "--witness", str(path)) == (
+        2, "", "error: witness has 1 x 4 blocks, not 2 x 2\n")
+    code, out, _ = run(capsys, *pair, *RIBBON22)
+    assert (code, out.splitlines()[-1]) == (
+        3, "reason: vertical braid 1 does not close to a knot")
+
+
+def test_movie_errors_exit_2_with_one_line(capsys, tmp_path):
+    path = tmp_path / "movie.txt"
+    path.write_text("degree 2\na 1\nb 1\nfar 0\n", encoding="utf-8")
+    assert run(capsys, "cocycle", "-m", "2", "-a", "1", "-b", "1",
+               "--movie", str(path)) == (
+        2, "", "error: illegal step 0: letters s1, s1 at 0 are not far commuting\n")
+    assert run(capsys, "cocycle", "-m", "4", "-a", "1 -3", "-b", "D^2") == (
+        2, "", "error: mixed-sign pairs are not supported by the slide generator\n")
+
+
 def _bad_file_exits_2(capsys, *argv: str) -> None:
     code, _, err = run(capsys, *argv)
     assert code == 2

@@ -337,6 +337,12 @@ def test_slide_movie_rejects_mixed_signs():
             slide_movie(mixed_a, b)
 
 
+def test_movie_errors_are_precondition_errors():
+    # one class, so one CLI exit code
+    assert issubclass(MovieValidationError, PreconditionError)
+    assert issubclass(MovieGenerationError, PreconditionError)
+
+
 def test_validate_catches_tampered_movie():
     movie = slide_movie(ACCEPT_A, ACCEPT_B)
     bad = ChartMovie(

@@ -12,6 +12,7 @@ from torusbraid.braids import BraidWord, garside_delta, word
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 from torusbraid.presentations import (
     AbelianInvariants,
+    GroupPresentation,
     abelianization,
     add_relator,
     central_twist_relator,
@@ -223,6 +224,15 @@ def test_finite_group_tables():
     assert z5.size == 5 and z5.is_abelian()
     d2 = dihedral_group(2)
     assert d2.size == 4 and d2.is_abelian()
+
+
+def test_quotients_of_the_trivial_group():
+    # one empty tuple of images: a homomorphism, onto only the trivial group
+    trivial = GroupPresentation((), ())
+    for group, counts in ((cyclic_group(1), (1, 1, 1)), (cyclic_group(2), (1, 0, 1)),
+                          (symmetric_group(3), (1, 0, 1))):
+        got = finite_quotient_count(trivial, group)
+        assert (got.homomorphisms, got.epimorphisms, got.abelian_image) == counts
 
 
 def test_group_table_consistency():

@@ -7,7 +7,7 @@ from collections import deque
 
 import pytest
 
-from torusbraid import ribbon
+from torusbraid import braids, ribbon
 from torusbraid.braids import (
     BraidWord,
     braids_equal,
@@ -23,7 +23,6 @@ from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 from torusbraid.ribbon import (
     CableDecomposition,
     Laurent,
-    _block_permutation,
     _det,
     _extract_block,
     alexander_polynomial,
@@ -275,6 +274,41 @@ def test_unknot_check_rejects_links():
         unknot_check(word(3, [1]))
 
 
+def _old_unknot_check(beta):
+    """The knot test, the reduction, then the Alexander polynomial of ``beta``."""
+    if closure_components(beta) != 1:
+        raise PreconditionError("closure is not a knot (multiple components)")
+    if ribbon._simplify_closure(beta.degree, list(beta.letters)) == 1:
+        return ribbon.UnknotVerdict("Unknot", "destabilizes to the braid on one strand")
+    poly = alexander_polynomial(beta)
+    if poly != Laurent.const(1):
+        return ribbon.UnknotVerdict("NotUnknot", f"alexander polynomial {poly}")
+    return ribbon.UnknotVerdict(
+        "Unknown", "alexander polynomial trivial but no reduction to one strand"
+    )
+
+
+def _outcome(check, beta):
+    try:
+        return check(beta)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_unknot_check_agrees_with_the_knot_test_first_oracle():
+    # the Alexander polynomial of the reduced word, which refuses links itself
+    rng = random.Random(2002)
+    seen = set()
+    for _ in range(600):
+        degree = rng.randint(1, 6)
+        beta = _random_word(rng, degree, 12) if degree > 1 else BraidWord(1, ())
+        old = _outcome(_old_unknot_check, beta)
+        assert _outcome(unknot_check, beta) == old, beta
+        seen.add(old if isinstance(old, str) else old.status)
+    assert seen == {"Unknot", "NotUnknot", "Unknown",
+                    "closure is not a knot (multiple components)"}
+
+
 # ---------------------------------------------------------------------------
 # cable decompositions
 # ---------------------------------------------------------------------------
@@ -323,6 +357,27 @@ def test_verify_dimension_mismatch():
             call()
 
 
+@pytest.mark.parametrize("n, m", [(-2, -2), (0, 4), (4, 0), (-1, 3)])
+def test_non_positive_blocks_are_refused(n, m):
+    e = BraidWord(4, ())
+    for call in (search_decomposition, ribbon_verdict):
+        with pytest.raises(PreconditionError,
+                           match="^block size and count must be positive$"):
+            call(e, e, n, m)
+
+
+def test_ribbon_verdict_refuses_a_witness_for_other_blocks():
+    # the 1 x 4 witness verifies; the requested blocks are 2 x 2
+    b = garside_delta(4) ** 2
+    one = (BraidWord(1, ()),) * 4
+    witness = CableDecomposition(1, 4, b, one, one)
+    assert verify_decomposition(BraidWord(4, ()), b, witness)
+    assert ribbon_verdict(BraidWord(4, ()), b, 1, 4, witness).status == "Ribbon"
+    with pytest.raises(PreconditionError,
+                       match="^witness has 1 x 4 blocks, not 2 x 2$"):
+        ribbon_verdict(BraidWord(4, ()), b, 2, 2, witness)
+
+
 def test_decomposition_field_validation():
     with pytest.raises(PreconditionError):
         CableDecomposition(2, 2, word(3, [1]), (word(2, []),) * 2, (word(2, []),) * 2)
@@ -351,6 +406,18 @@ def test_search_returns_none_when_blocks_do_not_map():
 
 def test_search_returns_none_for_non_interior_a():
     assert search_decomposition(word(4, [2, 2]), garside_delta(4) ** 2, 2, 2) is None
+
+
+def _block_permutation(w, n, m):
+    """The induced permutation on blocks of ``n`` strands, if blocks map to blocks."""
+    p = permutation(w)
+    out = []
+    for j in range(m):
+        images = {(p[n * j + t] - 1) // n for t in range(n)}
+        if len(images) != 1:
+            return None
+        out.append(images.pop() + 1)
+    return tuple(out)
 
 
 def _oracle_search(a, b, n, m, length_cap=16, state_budget=4096):
@@ -427,6 +494,49 @@ def test_read_off_agrees_with_search_oracle():
         if braids_equal(a * b, b * a):
             assert (ribbon_verdict(a, b, n, m).status
                     == ribbon_verdict(a, b, n, m, oracle).status)
+
+
+def _old_search(a, b, n, m):
+    """The block-permutation pre-checks, then the read-off."""
+    if _block_permutation(b, n, m) is None:
+        return None
+    if _block_permutation(a, n, m) != tuple(range(1, m + 1)):
+        return None
+    return search_decomposition(a, b, n, m)
+
+
+def _seeded_commuting_pairs(rng, count):
+    """``(w, w^k)``, ``(w, Delta^2k)`` and ``(Delta^2k, w)`` on assorted blocks."""
+    for _ in range(count):
+        n, m = rng.choice(((2, 2), (2, 3), (3, 2), (1, 4), (4, 1), (2, 4)))
+        w, k = _random_word(rng, n * m, 6), rng.randint(1, 3)
+        full_twist = garside_delta(n * m) ** (2 * k)
+        yield rng.choice(((w, w ** k), (w, full_twist), (full_twist, w))) + (n, m)
+
+
+def test_search_agrees_with_the_block_permutation_pre_checks():
+    pairs = [*_seeded_commuting_pairs(random.Random(2002), 300),
+             *_census_ribbon_families()]
+    found = 0
+    for a, b, n, m in pairs:
+        witness = search_decomposition(a, b, n, m)
+        assert witness == _old_search(a, b, n, m)
+        found += witness is not None
+    assert 0 < found < len(pairs)
+
+
+def test_blocks_b_does_not_map_are_refuted_without_a_normal_form(monkeypatch):
+    pairs = [(a, b, n, m) for a, b, n, m in _seeded_commuting_pairs(random.Random(1969), 300)
+             if _block_permutation(b, n, m) is None]
+    assert pairs
+
+    def no_normal_form(*args):
+        raise AssertionError("a normal form was built")
+
+    monkeypatch.setattr(braids, "normal_form", no_normal_form)
+    for a, b, n, m in pairs:
+        assert search_decomposition(a, b, n, m) is None
+    assert search_decomposition(word(4, [2, -2]), word(4, [2]), 2, 2) is None
 
 
 def _random_word(rng, degree, max_len):
