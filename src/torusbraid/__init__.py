@@ -79,7 +79,6 @@ from .quandles import (
     GroupRingElement,
     Quandle,
     TriplePoint,
-    braid_monodromy,
     cocycle_invariant,
     dihedral_quandle,
     mochizuki_theta,

@@ -11,7 +11,7 @@ represent is decided by :func:`braids_equal` via normal forms.
 
 Permutations are stored as tuples ``p`` of length ``m`` with 1-based values:
 ``p[i-1]`` is the final position of the strand that starts at position ``i``.
-Composition follows word order, i.e. ``compose(u, v)`` is "u then v".
+Permutations compose in word order: that of ``u v`` is u's, then v's.
 
 The positive half twist ``Delta_m`` is the lift of the order-reversing
 permutation in which every pair of strands crosses exactly once, with word

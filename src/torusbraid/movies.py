@@ -25,8 +25,9 @@ all carry one crossing sign.  ``a b`` and ``b a`` are then two words of one
 sign for one braid, and Garside's word property made constructive joins them
 by far swaps and R3 moves alone, built letter by letter in at most
 ``WORD_CAP`` steps; the path reads only letter indices, so either sign takes
-it.  Generated movies insert and cancel nothing; those steps come from movie
-files.  Mixed-sign pairs are not supported.
+it, checking each step through :func:`apply_step` as it is made.  Generated
+movies insert and cancel nothing; those steps come from movie files.
+Mixed-sign pairs are not supported.
 """
 
 from __future__ import annotations
@@ -152,6 +153,7 @@ def validate_movie(movie: ChartMovie) -> None:
     Checks every step's side conditions (positions, far commutation, window
     shape, stored triple-point signs) and that the final word is exactly
     ``b a``.  Letter indices are range-checked against the degree on the way.
+    Generated movies need no replay: their steps are checked as they are made.
     """
     letters = list(movie.start_word)
     for idx, step in enumerate(movie.steps):
@@ -184,9 +186,11 @@ def _positive_path(start: Sequence[Letter], goal: Sequence[Letter]) -> Iterator[
     and ``s_j``: for far j, ``s_i`` is brought to the front of ``W`` and
     far-swapped; for adjacent j, ``s_i`` and then ``s_j`` are brought to the
     front of ``W`` and the window ``s_j s_i s_j`` becomes ``s_i s_j s_i`` in
-    one triple point, signed by the window's letters.  Each step is legal by
-    construction, so the word is rewritten without checks.  Raises
-    SearchBudgetExceeded past ``WORD_CAP`` steps.
+    one triple point, signed by the window's letters.  Each step goes through
+    :func:`apply_step`, so it is checked as it is made.  The path inserts
+    nothing, puts goal letter q at q and never touches a position below q
+    again, so it ends at ``goal``.  Raises SearchBudgetExceeded past
+    ``WORD_CAP`` steps.
     """
     cur = list(start)
     count = 0
@@ -204,13 +208,9 @@ def _positive_path(start: Sequence[Letter], goal: Sequence[Letter]) -> Iterator[
                 elif i != j:
                     todo += [R3(p, r3_window_sign(j, i, cur[p][1])), (j, p + 2), (i, p + 1)]
             else:
+                check_cap(count + 1, "movie", "steps")
+                apply_step(cur, task, count)
                 count += 1
-                check_cap(count, "movie", "steps")
-                p = task.pos
-                if isinstance(task, FarSwap):
-                    cur[p], cur[p + 1] = cur[p + 1], cur[p]
-                else:
-                    cur[p : p + 3] = cur[p + 1], cur[p], cur[p + 1]
                 yield task
 
 
@@ -219,8 +219,8 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
 
     Preconditions: equal degrees and ``ab = ba``.  All letters of both words
     must carry the same crossing sign (a pair and its mirror are supported;
-    mixed signs raise MovieGenerationError).  The movie is validated before
-    being handed back.
+    mixed signs raise MovieGenerationError).  Each step is checked as it is
+    made, and the path ends at ``b a``, so the movie is valid as returned.
     """
     check_pair(a, b)
     if len({s for _, s in a.letters + b.letters}) > 1:
@@ -228,9 +228,7 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
             "mixed-sign pairs are not supported by the slide generator"
         )
     steps = tuple(_positive_path((a * b).letters, (b * a).letters))
-    movie = ChartMovie(a.degree, a, b, steps)
-    validate_movie(movie)
-    return movie
+    return ChartMovie(a.degree, a, b, steps)
 
 
 def mirror_chart(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord]:
@@ -264,8 +262,11 @@ def write_movie(movie: ChartMovie, path: str) -> None:
             lines.append(
                 f"insert {st.pos} {st.index} {'+' if st.sign > 0 else '-'}"
             )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise PreconditionError(f"cannot write movie file {path}: {exc}") from None
 
 
 def read_movie(path: str) -> ChartMovie:

@@ -25,8 +25,8 @@ invariant :func:`cocycle_invariant` is the sum of ``t^exponent`` over all
 colorings, an element of the group ring Z[Z/3], meant to depend on the pair
 alone; a movie with triple points of both crossing signs can change it.  The
 triple points' order and signs do not depend on the coloring, and their
-colors are linear in it, so the movie is replayed once per generator of the
-colorings, not once per coloring.
+colors are linear in it, so one replay carries them as linear forms in the
+generators of the colorings, tuples mod p that R_p acts on entry by entry.
 """
 
 from __future__ import annotations
@@ -61,24 +61,11 @@ def dihedral_quandle(p: int) -> Quandle:
     return Quandle(p)
 
 
-def braid_monodromy(
-    beta: BraidWord, q: Quandle, colors: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Push a color vector through a braid word, letter by letter."""
-    if len(colors) != beta.degree:
-        raise PreconditionError(
-            f"coloring has {len(colors)} entries for degree {beta.degree}"
-        )
-    c = tuple(colors)
-    for x in beta.letters:
-        c = _push(c, x, q)
-    return c
-
-
-def _push(c: tuple[int, ...], letter: Letter, q: Quandle) -> tuple[int, ...]:
+def _push(c: tuple[tuple[int, ...], ...], letter: Letter, q: Quandle) -> tuple:
     i, s = letter
     u, v = c[i - 1], c[i]
-    return c[: i - 1] + ((v, q.op(u, v)) if s > 0 else (q.op(v, u), u)) + c[i + 1 :]
+    pair = (v, tuple(map(q.op, u, v))) if s > 0 else (tuple(map(q.op, v, u)), u)
+    return c[: i - 1] + pair + c[i + 1 :]
 
 
 def torus_colorings(
@@ -107,14 +94,16 @@ def _coloring_generators(
 ) -> list[tuple[tuple[int, ...], int]]:
     """Pairs ``(step_t, n_t)``, ``n_t > 1``, whose sums ``sum k_t step_t``
     with ``0 <= k_t < n_t`` are the colorings, each once; the caps of
-    :func:`torus_colorings` are checked here."""
+    :func:`torus_colorings` are checked here.  Each braid is walked once, on
+    the identity forms: the form ending at position r is row r of ``M_beta``."""
     p, m = q.size, a.degree
     check_cap(2 * m * m, "the coloring matrix", "entries")
     rows: list[list[int]] = []
-    for beta in (a, b):  # column j of M_beta is the image of e_j
-        cols = [braid_monodromy(beta, q, tuple(int(r == j) for r in range(m)))
-                for j in range(m)]
-        rows += [[c[r] - (r == j) for j, c in enumerate(cols)] for r in range(m)]
+    for beta in (a, b):
+        forms = tuple(tuple(int(r == j) for j in range(m)) for r in range(m))
+        for x in beta.letters:
+            forms = _push(forms, x, q)
+        rows += [[c - (r == j) for j, c in enumerate(f)] for r, f in enumerate(forms)]
     divisors, v = smith_form(rows)
     counts = [gcd(d, p) for d in divisors] + [p] * (m - len(divisors))
     if prod(counts) * m > braids.WORD_CAP:
@@ -149,14 +138,14 @@ def mochizuki_theta(x: int, y: int, z: int) -> int:
 class TriplePoint:
     """A triple point: sheet colors bottom to top, and its state-sum sign.
 
-    ``sign`` is the sign with which the cocycle value enters the Boltzmann
-    exponent.  For windows of positive letters it equals the R3 step's sign;
-    for windows of negative letters the conventions invert it (see
-    :func:`triple_points`).
+    ``colors[s]`` holds sheet s's color under each replayed coloring, in
+    order.  ``sign`` is the sign with which the cocycle value enters the
+    Boltzmann exponent: the R3 step's sign for windows of positive letters,
+    inverted for negative ones (see :func:`triple_points`).
     """
 
     sign: int
-    colors: tuple[int, int, int]
+    colors: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,29 +187,29 @@ class GroupRingElement:
 
 
 def triple_points(
-    movie: ChartMovie, coloring: tuple[int, ...], q: Quandle
+    movie: ChartMovie, colorings: list[tuple[int, ...]], q: Quandle
 ) -> list[TriplePoint]:
-    """The movie's triple points with sheet colors under one coloring.
+    """The movie's triple points with sheet colors under every coloring given.
 
-    Replays the movie keeping the color vector before every word position;
-    a step recomputes only the positions it rewrites (two for R3, one for a
-    far swap or an inserted pair).  At each R3 step the colors at the three
-    strand positions the window occupies (min(i, j) and the two above) are
-    read in bottom-to-top sheet order.  For a window of positive letters the
-    strands enter bottom sheet first, so the entering colors are recorded
-    with the step's sign.  For a window of negative letters the sheet
-    hierarchy is the reverse and the source region sits on the exit side, so
-    the colors *leaving* the window are recorded and the contribution sign is
-    opposite to the window sign; this is the convention under which mirror
-    pairs give conjugate state sums.
+    One replay keeps, before every word position, each strand's colors as a
+    tuple with one entry per coloring (linear forms, under the generators of
+    the colorings); a step recomputes only the positions it rewrites (two for
+    R3, one for a far swap or an inserted pair).  At each R3 step the colors
+    at the three strand positions the window occupies (min(i, j) and the two
+    above) are read in bottom-to-top sheet order.  For a window of positive
+    letters the strands enter bottom sheet first, so the entering colors are
+    recorded with the step's sign.  For a window of negative letters the
+    sheet hierarchy is the reverse and the source region sits on the exit
+    side, so the colors *leaving* the window are recorded and the
+    contribution sign is opposite to the window sign; this is the convention
+    under which mirror pairs give conjugate state sums.
     """
-    if len(coloring) != movie.degree:
-        raise PreconditionError(
-            f"coloring has {len(coloring)} entries for degree {movie.degree}"
-        )
+    for c in colorings:
+        if len(c) != movie.degree:
+            raise PreconditionError(f"coloring has {len(c)} entries for degree {movie.degree}")
     letters: list[Letter] = list(movie.start_word)
-    before = [tuple(coloring)]  # before[k]: the colors entering letter k
-    for x in letters:
+    before = [tuple(tuple(c[r] for c in colorings) for r in range(movie.degree))]
+    for x in letters:  # before[k]: the colors entering letter k
         before.append(_push(before[-1], x, q))
     out: list[TriplePoint] = []
     for idx, step in enumerate(movie.steps):
@@ -249,17 +238,17 @@ def cocycle_invariant(
     """State sum ``sum_colorings t^(Boltzmann exponent)`` over R_3 colorings.
 
     A movie may be supplied (it is validated and must belong to the pair);
-    otherwise :func:`slide_movie` generates one.  The value is meant not to
-    depend on the movie, but a supplied movie with triple points of both
-    crossing signs can change it.  Either way the pair is checked once: a
-    generated movie checks it, and a valid movie proves ``ab = ba``, since
-    every step is a braid relation or a free cancellation.
+    otherwise :func:`slide_movie` generates one, checked as it is made.  The
+    value is meant not to depend on the movie, but a supplied movie with
+    triple points of both crossing signs can change it.  Either way the pair
+    is checked once: a generated movie checks it, and a valid movie proves
+    ``ab = ba``, since every step is a braid relation or a free cancellation.
 
     The colorings are the sums ``sum k_t step_t`` of :func:`_coloring_generators`
     and the triple points' colors are linear in them, so the movie is replayed
-    once per generator: point i's colors under every ``step_t`` give three
-    linear forms in ``k``.  Points with equal forms merge by summing their
-    signs mod 3, and each distinct form is evaluated once per coloring.
+    once, on the generators: each point's colors are three linear forms in
+    ``k``.  Points with equal forms merge by summing their signs mod 3, and
+    each distinct form is evaluated once per coloring.
     """
     q = dihedral_quandle(3)
     if movie is None:
@@ -270,9 +259,8 @@ def cocycle_invariant(
         validate_movie(movie)
     gens = _coloring_generators(a, b, q)
     signs: dict[tuple[tuple[int, ...], ...], int] = {}
-    for pts in zip(*(triple_points(movie, step, q) for step, _ in gens)):
-        forms = tuple(zip(*(tp.colors for tp in pts)))  # slot s: its colors per generator
-        signs[forms] = (signs.get(forms, 0) + pts[0].sign) % 3
+    for tp in triple_points(movie, [step for step, _ in gens], q):
+        signs[tp.colors] = (signs.get(tp.colors, 0) + tp.sign) % 3
     terms = [(sign, forms) for forms, sign in signs.items() if sign]
     distinct = {f for _, forms in terms for f in forms}
     counts = [0, 0, 0]

@@ -27,6 +27,7 @@ from .braids import (
     format_braid,
     iota_embed,
     parse_braid,
+    permutation,
 )
 from .errors import PreconditionError
 
@@ -390,13 +391,15 @@ def verify_decomposition(
 
     ``b`` must equal the tubular lift times the embedded interior braids,
     and ``a`` must equal the embedded vertical braids alone (so its tubular
-    part is trivial), both as elements of the braid group.
+    part is trivial), both as elements of the braid group.  Both
+    permutations and exponent sums are compared before either normal form.
     """
     n = witness.block_size
     _check_blocks(a, b, n, witness.block_count)
-    return braids_equal(
-        b, _assemble(cable_lift(witness.tubular, n), witness.interior)
-    ) and braids_equal(a, _assemble(BraidWord(witness.degree, ()), witness.vertical))
+    pairs = ((b, _assemble(cable_lift(witness.tubular, n), witness.interior)),
+             (a, _assemble(BraidWord(witness.degree, ()), witness.vertical)))
+    return all(u.exponent_sum() == v.exponent_sum() and permutation(u) == permutation(v)
+               for u, v in pairs) and all(braids_equal(u, v) for u, v in pairs)
 
 
 def _extract_block(w: BraidWord, keep: frozenset[int]) -> BraidWord:

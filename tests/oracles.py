@@ -3,7 +3,8 @@
 None of these is on a command's path: the library answers each question
 another way (the word search and the closed-form slides by
 ``movies._positive_path``, the Boltzmann exponent by the linear sum in
-``cocycle_invariant``).
+``cocycle_invariant``, the color pushes and the per-coloring replay by the
+linear forms of ``quandles._coloring_generators`` and ``triple_points``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from torusbraid.movies import (
     r3_window_sign,
 )
 from torusbraid.presentations import AbelianInvariants
-from torusbraid.quandles import TriplePoint, mochizuki_theta
+from torusbraid.quandles import Quandle, TriplePoint, mochizuki_theta
 
 
 def word_path(start: list, goal: list, states: int = 50_000) -> list[Step] | None:
@@ -223,6 +224,61 @@ def closed_form_movie(a: BraidWord, b: BraidWord) -> ChartMovie | None:
         steps = [st if isinstance(st, (FarSwap, CancelPair)) else replace(st, sign=-st.sign)
                  for st in steps]
     return ChartMovie(a.degree, a, b, tuple(steps))
+
+
+def _push(c: tuple[int, ...], letter: Letter, q: Quandle) -> tuple[int, ...]:
+    i, s = letter
+    u, v = c[i - 1], c[i]
+    return c[: i - 1] + ((v, q.op(u, v)) if s > 0 else (q.op(v, u), u)) + c[i + 1 :]
+
+
+def braid_monodromy(beta: BraidWord, q: Quandle, colors: tuple[int, ...]) -> tuple[int, ...]:
+    """Push a color vector through a braid word, letter by letter."""
+    if len(colors) != beta.degree:
+        raise PreconditionError(f"coloring has {len(colors)} entries for degree {beta.degree}")
+    c = tuple(colors)
+    for x in beta.letters:
+        c = _push(c, x, q)
+    return c
+
+
+def per_coloring_triple_points(movie: ChartMovie, coloring: tuple[int, ...],
+                               q: Quandle) -> list[TriplePoint]:
+    """The movie's triple points under one coloring, with integer colors.
+
+    The movie is replayed for this coloring alone, keeping the color vector
+    before every word position and recomputing only the positions a step
+    rewrites; signs and sheet order follow ``quandles.triple_points``.
+    """
+    if len(coloring) != movie.degree:
+        raise PreconditionError(f"coloring has {len(coloring)} entries for degree {movie.degree}")
+    letters: list[Letter] = list(movie.start_word)
+    before = [tuple(coloring)]  # before[k]: the colors entering letter k
+    for x in letters:
+        before.append(_push(before[-1], x, q))
+    out: list[TriplePoint] = []
+    for idx, step in enumerate(movie.steps):
+        apply_step(letters, step, idx)
+        p, kind = step.pos, type(step)
+        if kind is CancelPair:
+            del before[p + 1 : p + 3]  # the colors after the pair were before[p]
+            continue
+        if kind is InsertPair:
+            before[p + 1 : p + 1] = [before[p], before[p]]  # the pair ends where it began
+        before[p + 1] = _push(before[p], letters[p], q)
+        if kind is R3:
+            before[p + 2] = _push(before[p + 1], letters[p + 1], q)
+            (i, s), (j, _) = letters[p], letters[p + 1]
+            lo = min(i, j)
+            cols = before[p] if s > 0 else before[p + 3]
+            out.append(TriplePoint(step.sign * s, cols[lo - 1 : lo + 2]))
+    return out
+
+
+def at_coloring(points: list[TriplePoint], t: int = 0) -> list[TriplePoint]:
+    """The points of one ``triple_points`` replay under its t-th coloring,
+    with integer colors."""
+    return [TriplePoint(tp.sign, tuple(c[t] for c in tp.colors)) for tp in points]
 
 
 def boltzmann_exponent(points: list[TriplePoint]) -> int:

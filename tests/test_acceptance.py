@@ -50,7 +50,7 @@ from torusbraid.ribbon import (
     write_witness,
 )
 
-from oracles import boltzmann_exponent, parse_free_word
+from oracles import at_coloring, boltzmann_exponent, parse_free_word
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -81,12 +81,12 @@ def test_criterion_03_coloring_census():
     q = dihedral_quandle(3)
     cols = torus_colorings(A4, B4, q)
     assert len(cols) == 9
-    movie = slide_movie(A4, B4)
+    points = triple_points(slide_movie(A4, B4), cols, q)
     distinct, constant = 0, 0
-    for c in cols:
+    for t, c in enumerate(cols):
         sheet_colors = set(c)
-        for tp in triple_points(movie, c, q):
-            sheet_colors.update(tp.colors)
+        for tp in points:  # colors[s][t]: sheet s under coloring t
+            sheet_colors.update(x[t] for x in tp.colors)
         if len(set(c)) == 1:
             constant += 1
             assert sheet_colors == set(c)
@@ -103,7 +103,7 @@ def test_criterion_04_triple_point_fixture():
     assert movie.r3_count() == 12
     q = dihedral_quandle(3)
     a, b, c = 0, 1, 2  # the distinct coloring, base vector (a, a, c, c)
-    pts = triple_points(movie, (a, a, c, c), q)
+    pts = at_coloring(triple_points(movie, [(a, a, c, c)], q))
     assert len(pts) == 12
     exponent = boltzmann_exponent(pts)
     assert exponent == 2

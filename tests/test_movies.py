@@ -221,6 +221,35 @@ def test_slide_movie_positive_path_fallback(monkeypatch):
         assert calls == [((a * b).letters, (b * a).letters)]
 
 
+def test_slide_movie_checks_each_step_once_as_it_is_made(monkeypatch):
+    # every step goes through apply_step once, in order, and the finished
+    # movie is not replayed by validate_movie
+    pairs = [(ACCEPT_A, ACCEPT_B), mirror_chart(ACCEPT_A, ACCEPT_B),
+             (word(4, [1, 3]), garside_delta(4) ** 3)]
+    applied = []
+    apply = movies.apply_step
+
+    def spy(letters, step, step_index=-1):
+        applied.append(step)
+        return apply(letters, step, step_index)
+
+    def no_validation(movie):
+        raise AssertionError("the generated movie was replayed")
+
+    monkeypatch.setattr(movies, "apply_step", spy)
+    monkeypatch.setattr(movies, "validate_movie", no_validation)
+    for a, b in pairs:
+        applied.clear()
+        movie = slide_movie(a, b)
+        assert movie.steps and tuple(applied) == movie.steps
+
+
+def test_generated_movies_pass_validation():
+    for a, b in _one_sign_pairs() + _closed_form_pairs():
+        for pair in ((a, b), mirror_chart(a, b)):
+            validate_movie(slide_movie(*pair))
+
+
 def _closed_form_pairs() -> list[tuple[BraidWord, BraidWord]]:
     """Positive pairs that the closed forms slide: powers of delta, Delta
     and their reversals, and letters equal to or far from every letter of b."""
@@ -357,6 +386,13 @@ def test_write_read_round_trip(tmp_path):
     path = str(tmp_path / "movie.txt")
     write_movie(movie, path)
     assert read_movie(path) == movie
+
+
+def test_write_movie_to_an_unwritable_path_is_a_precondition_error(tmp_path):
+    movie = slide_movie(word(3, [1]), word(3, [1, 2]) ** 3)
+    path = str(tmp_path / "missing" / "movie.txt")
+    with pytest.raises(PreconditionError, match="^cannot write movie file "):
+        write_movie(movie, path)
 
 
 def test_fixture_movie_validates():

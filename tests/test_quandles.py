@@ -30,7 +30,7 @@ from torusbraid.movies import (
 from torusbraid.quandles import (
     GroupRingElement,
     TriplePoint,
-    braid_monodromy,
+    _coloring_generators,
     cocycle_invariant,
     dihedral_quandle,
     mochizuki_theta,
@@ -38,7 +38,12 @@ from torusbraid.quandles import (
     triple_points,
 )
 
-from oracles import boltzmann_exponent
+from oracles import (
+    at_coloring,
+    boltzmann_exponent,
+    braid_monodromy,
+    per_coloring_triple_points,
+)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "acceptance_movie.txt")
 
@@ -162,22 +167,22 @@ def test_group_ring_algebra():
 def test_triple_points_frozen_sequence():
     q = dihedral_quandle(3)
     movie = slide_movie(ACCEPT_A, ACCEPT_B)
-    tps = triple_points(movie, (0, 0, 2, 2), q)
+    tps = at_coloring(triple_points(movie, [(0, 0, 2, 2)], q))
     assert tuple((tp.sign, tp.colors) for tp in tps) == EXPECTED_TRIPLES
 
 
 def test_boltzmann_exponent_distinguished_coloring():
     q = dihedral_quandle(3)
     movie = slide_movie(ACCEPT_A, ACCEPT_B)
-    assert boltzmann_exponent(triple_points(movie, (0, 0, 2, 2), q)) == 2
+    assert boltzmann_exponent(at_coloring(triple_points(movie, [(0, 0, 2, 2)], q))) == 2
 
 
 def test_constant_colorings_contribute_zero():
     q = dihedral_quandle(3)
     movie = slide_movie(ACCEPT_A, ACCEPT_B)
+    tps = triple_points(movie, [(c, c, c, c) for c in range(3)], q)
     for c in range(3):
-        tps = triple_points(movie, (c, c, c, c), q)
-        assert boltzmann_exponent(tps) == 0
+        assert boltzmann_exponent(at_coloring(tps, c)) == 0
 
 
 def test_cocycle_invariant_value():
@@ -239,22 +244,25 @@ def _count_calls(monkeypatch, name, modules):
     (word(4, [3, 2]), word(4, [3, 2, 1]) ** 4),  # b reversed is delta^4
 ])
 def test_cocycle_checks_the_pair_and_validates_the_movie_once(monkeypatch, a, b):
+    # each step is checked once, as the movie is made, and replayed once
+    steps = len(slide_movie(a, b).steps)
     commutes = _count_calls(monkeypatch, "commute_check", [torusbraid.braids])
-    validations = _count_calls(monkeypatch, "validate_movie",
-                               [torusbraid.movies, torusbraid.quandles])
+    checked = _count_calls(monkeypatch, "apply_step", [torusbraid.movies])
+    replayed = _count_calls(monkeypatch, "apply_step", [torusbraid.quandles])
     cocycle_invariant(a, b)
-    assert (len(commutes), len(validations)) == (1, 1)
+    assert (len(commutes), len(checked), len(replayed)) == (1, steps, steps)
 
 
-@pytest.mark.parametrize("a, b, colorings, replays", [
+@pytest.mark.parametrize("a, b, colorings, generators", [
     (ACCEPT_A, ACCEPT_B, 9, 2),
     (word(8, [1, 3, 5, 7]), word(8, list(range(1, 8))) ** 8, 81, 4),
 ])
-def test_cocycle_replays_the_movie_once_per_generator(monkeypatch, a, b, colorings, replays):
+def test_cocycle_replays_the_movie_once_per_generator(monkeypatch, a, b, colorings, generators):
+    # one replay carries every generator of the colorings
     assert len(torus_colorings(a, b, dihedral_quandle(3))) == colorings
     calls = _count_calls(monkeypatch, "triple_points", [torusbraid.quandles])
     cocycle_invariant(a, b)
-    assert len(calls) == replays
+    assert [len(colorings) for _, colorings, _ in calls] == [generators]
 
 
 def test_cocycle_with_supplied_movie_matches(monkeypatch):
@@ -285,10 +293,11 @@ def test_negative_window_triples_cancel_in_pairs():
     q = dihedral_quandle(3)
     am, bm = mirror_chart(ACCEPT_A, ACCEPT_B)
     movie = slide_movie(am, bm)
-    for coloring in torus_colorings(am, bm, q):
-        tps = triple_points(movie, coloring, q)
-        assert len(tps) == 12
-        total = boltzmann_exponent(tps)
+    colorings = torus_colorings(am, bm, q)
+    tps = triple_points(movie, colorings, q)
+    assert len(tps) == 12
+    for t in range(len(colorings)):
+        total = boltzmann_exponent(at_coloring(tps, t))
         assert 0 <= total < 3
 
 
@@ -303,7 +312,7 @@ def per_coloring_state_sum(a, b, movie):
     total = GroupRingElement.zero()
     for coloring in torus_colorings(a, b, q):
         total = total + GroupRingElement.monomial(
-            boltzmann_exponent(triple_points(movie, coloring, q)))
+            boltzmann_exponent(per_coloring_triple_points(movie, coloring, q)))
     return total
 
 
@@ -405,8 +414,10 @@ def _movie_pairs():
 def test_triple_points_match_prefix_replay(a, b):
     q = dihedral_quandle(3)
     movie = slide_movie(a, b)
-    for coloring in torus_colorings(a, b, q):
-        assert triple_points(movie, coloring, q) == replayed_triple_points(movie, coloring, q)
+    colorings = torus_colorings(a, b, q)
+    points = triple_points(movie, colorings, q)
+    for t, coloring in enumerate(colorings):
+        assert at_coloring(points, t) == replayed_triple_points(movie, coloring, q)
 
 
 def test_triple_points_replay_insertions_and_cancellations():
@@ -421,8 +432,10 @@ def test_triple_points_replay_insertions_and_cancellations():
         validate_movie(movie)
         kinds = [type(step) for step in movie.steps]
         assert kinds.count(InsertPair) == kinds.count(CancelPair) == 4
-        for coloring in itertools.product(range(3), repeat=4):  # colorings or not
-            assert triple_points(movie, coloring, q) == replayed_triple_points(movie, coloring, q)
+        vectors = list(itertools.product(range(3), repeat=4))  # colorings or not
+        points = triple_points(movie, vectors, q)
+        for t, vector in enumerate(vectors):
+            assert at_coloring(points, t) == replayed_triple_points(movie, vector, q)
 
 
 # ---------------------------------------------------------------------------
@@ -456,3 +469,42 @@ def test_state_sum_of_supplied_movie_matches_per_coloring_replay():
     phi = cocycle_invariant(ACCEPT_A, ACCEPT_B, movie=fixture)
     assert phi == per_coloring_state_sum(ACCEPT_A, ACCEPT_B, fixture)
     assert str(phi) == "3 + 6t^2"
+
+
+# ---------------------------------------------------------------------------
+# one replay on linear forms, against one replay per coloring
+# ---------------------------------------------------------------------------
+
+
+def assert_forms_match_per_coloring_replay(movie, a, b):
+    """Evaluate the one-replay forms at every coloring ``sum k_t step_t`` and
+    compare them with the movie replayed for that coloring alone."""
+    q = dihedral_quandle(3)
+    gens = _coloring_generators(a, b, q)
+    steps = [step for step, _ in gens]
+    points = triple_points(movie, steps, q)
+    for k in itertools.product(*(range(n) for _, n in gens)):
+        coloring = tuple(sum(x * y for x, y in zip(col, k)) % 3 for col in zip(*steps))
+        evaluated = [TriplePoint(tp.sign, tuple(sum(x * y for x, y in zip(f, k)) % 3
+                                                for f in tp.colors)) for tp in points]
+        assert evaluated == per_coloring_triple_points(movie, coloring, q)
+    return len(gens)
+
+
+def test_forms_match_per_coloring_replay_on_generated_movies():
+    generators = set()
+    for a, b in _movie_pairs() + _state_sum_pairs():
+        movie = slide_movie(a, b)
+        validate_movie(movie)
+        generators.add(assert_forms_match_per_coloring_replay(movie, a, b))
+    assert generators == {1, 2, 3, 4, 5}
+
+
+def test_forms_match_per_coloring_replay_on_insertions_and_cancellations():
+    movie = read_movie(FIXTURE)
+    mirror = ChartMovie(movie.degree, *mirror_chart(movie.braid_a, movie.braid_b), tuple(
+        replace(st, sign=-st.sign) if isinstance(st, (R3, InsertPair)) else st
+        for st in movie.steps))
+    for movie in (movie, mirror):
+        validate_movie(movie)
+        assert_forms_match_per_coloring_replay(movie, movie.braid_a, movie.braid_b)

@@ -539,6 +539,16 @@ def test_blocks_b_does_not_map_are_refuted_without_a_normal_form(monkeypatch):
     assert search_decomposition(word(4, [2, -2]), word(4, [2]), 2, 2) is None
 
 
+def test_blocks_a_does_not_keep_are_refuted_without_a_normal_form(monkeypatch):
+    # b maps the 2 x 4 blocks, but a's s4 swaps strands of blocks 2 and 3:
+    # both permutations are compared before either normal form is built
+    def no_normal_form(*args):
+        raise AssertionError("a normal form was built")
+
+    monkeypatch.setattr(braids, "normal_form", no_normal_form)
+    assert search_decomposition(word(8, [4, 4, 4]), garside_delta(8) ** 6, 2, 4) is None
+
+
 def _random_word(rng, degree, max_len):
     return word(degree, [rng.choice([1, -1]) * rng.randint(1, degree - 1)
                          for _ in range(rng.randint(0, max_len))])
