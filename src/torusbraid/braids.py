@@ -52,8 +52,8 @@ Perm = tuple[int, ...]
 
 # Most letters parse_braid expands a word to: powers are typed by the user,
 # and ``s1^10000000000`` would otherwise ask for 10^10 letters.  Also the most
-# left-weighting steps of one normal form, whose cost grows with the square of
-# a mixed-sign word's length.
+# strands of a parsed word, and the most left-weighting steps of one normal
+# form, whose cost grows with the square of a mixed-sign word's length.
 WORD_CAP = 10**6
 
 
@@ -149,14 +149,15 @@ def parse_braid(text: str, degree: int) -> BraidWord:
       whitespace-delimited except for the trailing ``^k``,
     * ``e``: the empty word (handy as a whole-input placeholder).
 
-    A word that would expand to more than ``WORD_CAP`` letters, in a group or
-    in total, raises :class:`SearchBudgetExceeded` before it is built.
+    A degree past ``WORD_CAP`` strands, or a group or word past ``WORD_CAP``
+    letters, raises :class:`SearchBudgetExceeded` before it is built.
 
     >>> parse_braid("1 2 2 2 3", 4).letters
     ((1, 1), (2, 1), (2, 1), (2, 1), (3, 1))
     >>> parse_braid("s1^3", 2) == word(2, [1, 1, 1])
     True
     """
+    check_cap(degree, "braid degree", "strands")
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 

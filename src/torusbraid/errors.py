@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one file gate: a failed read or write is a PreconditionError."""
 
 from __future__ import annotations
 
@@ -33,3 +33,23 @@ class SearchBudgetExceeded(RuntimeError):
     Distinct from "no witness found within the cap": this means the search was
     cut off, so absence of a result is inconclusive.
     """
+
+
+def read_lines(path: str, what: str) -> list[tuple[int, str]]:
+    """Numbered lines of a text file, ``#`` comments and blank lines dropped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read {what} file {path}: {exc}") from None
+    lines = enumerate((raw.split("#", 1)[0].strip() for raw in text.splitlines()), 1)
+    return [(lineno, line) for lineno, line in lines if line]
+
+
+def write_lines(path: str, what: str, lines: list[str]) -> None:
+    """Write ``lines`` to a text file, one per line."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {what} file {path}: {exc}") from None

@@ -44,6 +44,7 @@ from .braids import (
     parse_braid,
 )
 from .errors import MovieGenerationError, MovieValidationError, PreconditionError
+from .errors import read_lines, write_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,11 +263,7 @@ def write_movie(movie: ChartMovie, path: str) -> None:
             lines.append(
                 f"insert {st.pos} {st.index} {'+' if st.sign > 0 else '-'}"
             )
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise PreconditionError(f"cannot write movie file {path}: {exc}") from None
+    write_lines(path, "movie", lines)
 
 
 def read_movie(path: str) -> ChartMovie:
@@ -275,22 +272,15 @@ def read_movie(path: str) -> ChartMovie:
     Format: ``degree m`` then ``a <letters>`` and ``b <letters>`` (the braid
     grammar of :func:`torusbraid.braids.parse_braid`), then one step per line:
     ``far P`` | ``r3 P +`` | ``r3 P -`` | ``cancel P`` | ``insert P I +-``.
-    Blank lines and ``#`` comments are ignored.  The movie is not validated
-    here; run :func:`validate_movie`.
+    :func:`torusbraid.errors.read_lines` drops blank lines and ``#`` comments,
+    and ``parse_braid`` caps the degree.  The movie is not validated here; run
+    :func:`validate_movie`.
     """
     degree: int | None = None
     a: BraidWord | None = None
     b: BraidWord | None = None
     steps: list[Step] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PreconditionError(f"cannot read movie file {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in read_lines(path, "movie"):
         parts = line.split(None, 1)
         key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
         try:

@@ -29,6 +29,8 @@ from .artin import (
 from .braids import BraidWord, check_cap, check_pair, normal_form, orbit_sizes, permutation
 from .errors import PreconditionError, SearchBudgetExceeded
 
+# The module's work budget, in time and memory alike: image tuples of one
+# quotient count, and steps, rows * cols * min(rows, cols), of one Smith form.
 TUPLE_CAP = 10**8
 
 
@@ -226,10 +228,17 @@ def smith_invariants(rows: list[list[int]]) -> list[int]:
 
 def smith_form(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """:func:`smith_invariants` and the column transform ``V``: unimodular, with
-    ``U A V = diag(+-d1, .., +-dr, 0, ..)`` for some unimodular ``U``."""
+    ``U A V = diag(+-d1, .., +-dr, 0, ..)`` for some unimodular ``U``.  Work
+    past ``TUPLE_CAP`` steps raises :class:`SearchBudgetExceeded` before any."""
     a = [list(map(int, row)) for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
+    work = nrows * ncols * min(nrows, ncols)
+    if work > TUPLE_CAP:
+        raise SearchBudgetExceeded(
+            f"Smith form of a {nrows} x {ncols} matrix reaches {work} steps, "
+            f"over the cap of {TUPLE_CAP}"
+        )
     transform = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     out: list[int] = []
     t = 0
@@ -343,13 +352,8 @@ def _tabulate(name: str, elements: list, compose, unit) -> FiniteGroup:
         tuple(index[compose(elements[x], elements[y])] for y in range(n))
         for x in range(n)
     )
-    inverse = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if mult[x][y] == index[unit]:
-                inverse[x] = y
-                break
-    return FiniteGroup(name, mult, tuple(inverse), index[unit])
+    inverse = tuple(row.index(index[unit]) for row in mult)
+    return FiniteGroup(name, mult, inverse, index[unit])
 
 
 def cyclic_group(k: int) -> FiniteGroup:

@@ -29,7 +29,7 @@ from .braids import (
     parse_braid,
     permutation,
 )
-from .errors import PreconditionError
+from .errors import PreconditionError, read_lines, write_lines
 
 # ---------------------------------------------------------------------------
 # integer Laurent polynomials
@@ -522,25 +522,14 @@ def write_witness(cd: CableDecomposition, path: str) -> None:
         lines.append(f"interior{j}: {format_braid(w)}")
     for j, w in enumerate(cd.vertical, 1):
         lines.append(f"vertical{j}: {format_braid(w)}")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise PreconditionError(f"cannot write witness file {path}: {exc}") from None
+    write_lines(path, "witness", lines)
 
 
 def read_witness(path: str) -> CableDecomposition:
-    """Parse a witness file written by :func:`write_witness`."""
+    """Parse a witness file written by :func:`write_witness`, read through
+    :func:`torusbraid.errors.read_lines`; ``parse_braid`` caps both blocks."""
     fields: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PreconditionError(f"cannot read witness file {path}: {exc}") from None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, line in read_lines(path, "witness"):
         if line.startswith("blocks"):
             fields["blocks"] = line[len("blocks") :].strip()
             continue

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .braids import BraidWord, check_pair
 from .errors import PreconditionError
-from .presentations import smith_invariants
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,18 +71,15 @@ def _as_matrix3(m) -> Matrix3:
     rows = tuple(tuple(row) for row in m)
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise PreconditionError("expected a 3x3 matrix")
-    for r in rows:
-        for x in r:
-            if not isinstance(x, int):
-                raise PreconditionError("matrix entries must be integers")
+    if not all(isinstance(x, int) for r in rows for x in r):
+        raise PreconditionError("matrix entries must be integers")
     return rows
 
 
 def h_membership(m) -> bool:
     """Whether a basis change preserves the first basis vector and framing parity.
 
-    True iff the matrix is in GL(3, Z) (its Smith form is the identity, which
-    for a square integer matrix means determinant ``+-1``), its first row is
+    True iff it is in GL(3, Z) (determinant ``+-1``), its first row is
     ``(+-1, 0, 0)``, and the four lower-right entries sum to an even number.
 
     >>> h_membership(((1, 0, 0), (0, 0, -1), (0, 1, 0)))
@@ -93,9 +89,9 @@ def h_membership(m) -> bool:
     >>> h_membership(((1, 0, 0), (0, 1, 2), (0, 0, 1)))
     True
     """
-    mm = _as_matrix3(m)
-    if smith_invariants(mm) != [1, 1, 1]:
+    (a, b, c), (d, e, f), (g, h, i) = _as_matrix3(m)
+    if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) != 1:
         return False
-    if mm[0] not in ((1, 0, 0), (-1, 0, 0)):
+    if (a, b, c) not in ((1, 0, 0), (-1, 0, 0)):
         return False
-    return (mm[1][1] + mm[1][2] + mm[2][1] + mm[2][2]) % 2 == 0
+    return (e + f + h + i) % 2 == 0

@@ -307,6 +307,40 @@ def test_word_past_the_cap_exits_3(capsys):
     assert err == "undecided: braid word reaches 10000000000 letters, over the cap of 1000000\n"
 
 
+@pytest.mark.parametrize("degree", ["100000000000000000000", "1000001"])
+def test_degree_past_the_cap_exits_3(capsys, degree):
+    code, out, err = run(capsys, "abelianization", "-m", degree, "-a", "e", "-b", "e")
+    assert (code, out) == (3, "")
+    assert err == f"undecided: braid degree reaches {degree} strands, over the cap of 1000000\n"
+
+
+def test_file_degree_past_the_cap_exits_3(capsys, tmp_path):
+    movie = tmp_path / "movie.txt"
+    movie.write_text("degree 10000000\na 1\nb 1\n", encoding="utf-8")
+    witness = tmp_path / "witness.txt"
+    witness.write_text("blocks 10000000 x 2\ntubular: e\ninterior1: e\nvertical1: e\n"
+                       "interior2: e\nvertical2: e\n", encoding="utf-8")
+    for argv in (["cocycle", "-m", "2", "-a", "1", "-b", "1", "--movie", str(movie)],
+                 ["ribbon", "-m", "4", "-a", "1 3", "-b", "D^2", *RIBBON22,
+                  "--witness", str(witness)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("undecided: braid degree reaches 10000000 strands, "
+                       "over the cap of 1000000\n")
+
+
+def test_colorings_past_the_smith_cap_exit_3(capsys):
+    # the 738 x 369 coloring matrix fits the entry cap, but its Smith form would
+    # take 2 * 369^3 > 10^8 steps
+    start = time.perf_counter()
+    code, out, err = run(capsys, "colorings", "-m", "369", "-a", " ".join(map(str, range(1, 369))),
+                         "-b", "e")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (3, "")
+    assert err == ("undecided: Smith form of a 738 x 369 matrix reaches 100486818 steps, "
+                   "over the cap of 100000000\n")
+
+
 def test_half_twist_past_the_cap_exits_3(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "group", "-m", "100000", "-a", "D", "-b", "")

@@ -11,6 +11,7 @@ from torusbraid.artin import boundary_word, format_free_word, free_word
 from torusbraid.braids import BraidWord, garside_delta, word
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 from torusbraid.presentations import (
+    TUPLE_CAP,
     AbelianInvariants,
     GroupPresentation,
     abelianization,
@@ -128,6 +129,16 @@ def test_smith_form_column_transform():
         assert abs(_int_det(v)) == 1
 
 
+def test_smith_form_refuses_work_past_the_tuple_cap():
+    # rows * cols * min(rows, cols) bounds the elimination: 464^3 fits, 465^3 does not
+    assert 464**3 <= TUPLE_CAP < 465**3
+    assert smith_form([[0] * 464 for _ in range(464)])[0] == []
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        smith_form([[0] * 465 for _ in range(465)])
+    assert str(exc.value) == ("Smith form of a 465 x 465 matrix reaches 100544625 steps, "
+                              "over the cap of 100000000")
+
+
 def test_tietze_relators_past_the_cap_raise_budget_error(monkeypatch):
     p = torus_covering_group(word(4, [1, 2, 2, 2, 3]), word(4, [1, 2, 3]) ** 4)
     assert tietze_eliminate(p).rank == 2
@@ -236,12 +247,15 @@ def test_quotients_of_the_trivial_group():
 
 
 def test_group_table_consistency():
-    for g in (symmetric_group(3), dihedral_group(5), cyclic_group(6)):
+    tables = ([symmetric_group(k) for k in range(1, 6)]
+              + [dihedral_group(k) for k in range(2, 13)]
+              + [cyclic_group(k) for k in range(1, 13)])
+    for g in tables:
         n = g.size
         e = g.identity
         for x in range(n):
             assert g.mult[x][e] == x and g.mult[e][x] == x
-            assert g.mult[x][g.inverse[x]] == e
+            assert g.mult[x][g.inverse[x]] == e == g.mult[g.inverse[x]][x]
         # associativity spot check
         rng = random.Random(n)
         for _ in range(50):

@@ -145,6 +145,24 @@ def test_h_membership_closed_under_products():
         assert h_membership(m)
 
 
+def _smith_h_membership(m) -> bool:
+    """The former predicate: GL(3, Z) read off a full Smith form."""
+    return (smith_invariants(m) == [1, 1, 1] and m[0] in ((1, 0, 0), (-1, 0, 0))
+            and (m[1][1] + m[1][2] + m[2][1] + m[2][2]) % 2 == 0)
+
+
+def test_h_membership_agrees_with_the_smith_form():
+    rng = random.Random(2909)
+    members = 0
+    for _ in range(30_000):
+        first = rng.choice([(1, 0, 0), (-1, 0, 0), (rng.randint(-2, 2), rng.randint(-1, 1), 0)])
+        m = (first,) + tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2))
+        member = h_membership(m)
+        assert member == _smith_h_membership(m), m
+        members += member
+    assert members > 500  # 622 of them
+
+
 def test_h_membership_parity_condition():
     # lower-right block with odd entry sum fails even when unimodular
     odd = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
