@@ -24,19 +24,22 @@ coincide.
 
 The normal form is built incrementally (Epstein et al., *Word Processing in
 Groups*, 1992, ch. 9; El-Rifai and Morton, *Algorithms for positive braids*,
-1994).  The word is read as ``Delta^-r Y_1 ... Y_n`` with one
-permutation-braid factor per letter: ``sigma_i``, or ``Delta sigma_i^-1`` for
-a negative letter, conjugated by ``Delta`` once for each negative letter to
-its right.  Each ``Y_j`` is appended to the left-weighted normal form of
-``Y_1 ... Y_{j-1}`` by a single right-to-left pass of left-weighting adjacent
-pairs, which stops at the first pair that does not move.  Normal forms
-multiply the same way: ``Delta^p F Delta^q G = Delta^(p+q) tau^q(F) G``, where
-``tau``, conjugation by ``Delta``, keeps ``F`` left-weighted, and each factor
-of ``G`` is appended by that pass.  So :func:`commute_check` builds ``NF(ab)``
-and ``NF(ba)`` from ``NF(a)`` and ``NF(b)``.  Pairs repeat, so one memo serves
-the normal forms of one decision.  Equal braids have equal permutations and
-exponent sums, which refutes most unequal pairs before any normal form.  A
-normal form past ``WORD_CAP`` left-weighting steps raises
+1994), one factor per simple run: a maximal one-sign run of letters that, read
+as positive letters, spell a permutation braid.  A positive run ``P`` is one
+factor; a negative run ``P^-1 = Delta^-1 (Delta P^-1)`` is one ``Delta^-1``
+and one factor, skipped when ``P = Delta``.  Moving each ``Delta^-1`` to the
+front conjugates the factors to its left by ``Delta``, so the ``Delta`` parity
+counts negative runs.  Each factor is appended to the left-weighted normal
+form of those before it by a single right-to-left pass of left-weighting
+adjacent pairs, which stops at the first pair that does not move.  Normal
+forms multiply the same way: ``Delta^p F Delta^q G = Delta^(p+q) tau^q(F) G``,
+where ``tau``, conjugation by ``Delta``, keeps ``F`` left-weighted, and each
+factor of ``G`` is appended by that pass.  So :func:`commute_check` builds
+``NF(ab)`` and ``NF(ba)`` from ``NF(a)`` and ``NF(b)``.  Pairs repeat, so one
+memo serves the normal forms of one decision.  Equal braids have equal
+permutations and exponent sums, which refutes most unequal pairs before any
+normal form.  A normal form past ``WORD_CAP`` left-weighting steps, or past
+``WIDTH_CAP`` permutation entries (steps times degree), raises
 :class:`SearchBudgetExceeded`.
 """
 
@@ -55,6 +58,11 @@ Perm = tuple[int, ...]
 # strands of a parsed word, and the most left-weighting steps of one normal
 # form, whose cost grows with the square of a mixed-sign word's length.
 WORD_CAP = 10**6
+# Most permutation entries of one normal form: left-weighting steps times
+# degree.  Each step keeps at most one factor and one memo pair of ``degree``
+# entries, so this bounds memory where the step cap does not (10^6 steps at
+# degree 600 would keep 6 * 10^8 entries or more).
+WIDTH_CAP = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +273,17 @@ def dual_generator(degree: int) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 
-def _transposition(m: int, i: int) -> Perm:
-    p = list(range(1, m + 1))
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
-
-
 def permutation(w: BraidWord) -> Perm:
     """The underlying permutation: entry ``i-1`` is where strand ``i`` ends up."""
     at = list(range(1, w.degree + 1))  # at[k]: the strand at position k+1
     for i, _ in w.letters:
         at[i - 1], at[i] = at[i], at[i - 1]
-    p = [0] * w.degree
+    return _positions(at)
+
+
+def _positions(at: list[int]) -> Perm:
+    """The permutation whose strand ``at[k]`` ends at position ``k+1``."""
+    p = [0] * len(at)
     for pos, strand in enumerate(at, 1):
         p[strand - 1] = pos
     return tuple(p)
@@ -402,6 +409,19 @@ def _append(factors: list[Perm], y: Perm, memo: dict) -> int:
     return steps
 
 
+def _tau(p: Perm) -> Perm:
+    """Conjugation by the half twist: ``sigma_i`` becomes ``sigma_(m-i)``."""
+    m = len(p)
+    return tuple(m + 1 - v for v in reversed(p))
+
+
+def _check_work(steps: int, m: int) -> None:
+    check_cap(steps, "normal form", "left-weighting steps")
+    if steps * m > WIDTH_CAP:
+        raise SearchBudgetExceeded(f"normal form reaches {steps * m} permutation "
+                                   f"entries, over the cap of {WIDTH_CAP}")
+
+
 def _gather_deltas(m: int, infimum: int, factors: list[Perm]) -> NormalForm:
     """Delta factors gather at the front of a left-weighted sequence."""
     w0 = tuple(range(m, 0, -1))
@@ -411,46 +431,57 @@ def _gather_deltas(m: int, infimum: int, factors: list[Perm]) -> NormalForm:
     return NormalForm(m, infimum + lead, tuple(factors[lead:]))
 
 
+def _simple_runs(w: BraidWord) -> Iterator[tuple[int, Perm]]:
+    """The sign and permutation of each maximal simple run of ``w``: one sign,
+    and no two strands crossing twice (``at`` restarts at each run)."""
+    ident = list(range(1, w.degree + 1))
+    at, sign = list(ident), 0  # at[k]: the strand at position k+1
+    for i, s in w.letters:
+        if s != sign or at[i - 1] > at[i]:
+            if sign:
+                yield sign, _positions(at)
+                at = list(ident)
+            sign = s
+        at[i - 1], at[i] = at[i], at[i - 1]
+    if sign:
+        yield sign, _positions(at)
+
+
 def normal_form(w: BraidWord, memo: dict | None = None) -> NormalForm:
-    """Left-greedy normal form of the braid represented by ``w``; ``memo``
-    holds the left-weighted pairs of one decision."""
+    """Left-greedy normal form of the braid represented by ``w``, one factor
+    per simple run; ``memo`` holds the left-weighted pairs of one decision.
+    The factors are kept conjugated by ``tau`` once per negative run so far,
+    not once per negative run to the right, and are conjugated back at the end."""
     m = w.degree
     ident = tuple(range(1, m + 1))
-    w0: Perm = tuple(range(m, 0, -1))  # the half-twist permutation i -> m+1-i
-    # w = Delta^-r Y_1 ... Y_n: sigma_i^-1 = Delta^-1 (Delta sigma_i^-1), and
-    # moving that Delta^-1 to the front conjugates every factor to its left by
-    # the half twist, which sends sigma_i to sigma_(m-i).
-    r = sum(1 for _, s in w.letters if s < 0)
-    right = r  # negative letters from the current one to the end
     factors: list[Perm] = []
     memo = {} if memo is None else memo
-    steps = 0
-    for i, s in w.letters:
-        if s < 0:
-            right -= 1
-        y = _transposition(m, m - i if right % 2 else i)
-        if s < 0:
-            y = tuple(y[x - 1] for x in w0)  # w0 then y
-            if y == ident:  # Delta*sigma_1^-1 at degree 2
+    steps = neg = 0
+    for s, y in _simple_runs(w):
+        if s < 0:  # Delta P^-1: the half twist i -> m+1-i, then the run
+            neg += 1
+            y = y[::-1]
+            if y == ident:  # the run is Delta^-1
                 continue
-        steps += _append(factors, y, memo)
-        check_cap(steps, "normal form", "left-weighting steps")
-    return _gather_deltas(m, -r, factors)
+        steps += _append(factors, _tau(y) if neg % 2 else y, memo)
+        _check_work(steps, m)
+    if neg % 2:
+        factors = [_tau(f) for f in factors]
+    return _gather_deltas(m, -neg, factors)
 
 
 def _product(x: NormalForm, y: NormalForm, memo: dict) -> NormalForm:
     """The normal form of ``x y``: ``Delta^p F Delta^q G = Delta^(p+q) tau^q(F) G``,
     where ``tau`` (conjugation by Delta) keeps ``F`` left-weighted, and each
     factor of ``G`` is appended with the pass that appends a letter."""
-    m = x.degree
     factors = list(x.factors)
     if y.infimum % 2:
-        factors = [tuple(m + 1 - v for v in reversed(f)) for f in factors]
+        factors = [_tau(f) for f in factors]
     steps = 0
     for g in y.factors:
         steps += _append(factors, g, memo)
-        check_cap(steps, "normal form", "left-weighting steps")
-    return _gather_deltas(m, x.infimum + y.infimum, factors)
+        _check_work(steps, x.degree)
+    return _gather_deltas(x.degree, x.infimum + y.infimum, factors)
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:
@@ -545,12 +576,15 @@ def cable_lift(w: BraidWord, n: int) -> BraidWord:
     Letterwise: ``sigma_j^s`` becomes the embedded ``n``-cabled crossing
     ``iota(n_prime_sigma1(n))^s`` on the strand blocks ``j`` and ``j+1``; the
     map extends multiplicatively, with negative letters using block inverses.
+    Each letter lifts to ``n^2`` letters, so a lift past ``WORD_CAP`` letters
+    raises :class:`SearchBudgetExceeded` before any is built.
 
     >>> format_braid(cable_lift(word(2, [1, 1]), 2))
     '2 1 3 2 2 1 3 2'
     """
     if n < 1:
         raise PreconditionError("cable width must be >= 1")
+    check_cap(n * n * len(w), "cable lift")
     m = w.degree
     blocks: dict[int, BraidWord] = {}
     out: list[Letter] = []

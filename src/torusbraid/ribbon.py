@@ -25,7 +25,6 @@ from .braids import (
     check_pair,
     closure_components,
     format_braid,
-    iota_embed,
     parse_braid,
     permutation,
 )
@@ -377,11 +376,11 @@ def _check_blocks(a: BraidWord, b: BraidWord, n: int, m: int) -> None:
 
 def _assemble(start: BraidWord, blocks: tuple[BraidWord, ...]) -> BraidWord:
     """``start`` followed by each ``blocks[j]`` acting inside cable ``j``."""
-    n, m = start.degree // len(blocks), len(blocks)
-    out = start
+    n = start.degree // len(blocks)
+    letters = list(start.letters)
     for j, w in enumerate(blocks):
-        out = out * iota_embed(w, n * j, n * (m - 1 - j))
-    return out
+        letters.extend((i + n * j, s) for i, s in w.letters)
+    return BraidWord(start.degree, tuple(letters))
 
 
 def verify_decomposition(
@@ -402,17 +401,29 @@ def verify_decomposition(
                for u, v in pairs) and all(braids_equal(u, v) for u, v in pairs)
 
 
-def _extract_block(w: BraidWord, keep: frozenset[int]) -> BraidWord:
-    """The braid induced on a subset of strands, deleting the others."""
-    cur = list(range(1, w.degree + 1))
-    out: list[Letter] = []
+def _induced(w: BraidWord, group: list[int]) -> list[BraidWord]:
+    """The braid ``w`` induces on each group of strands, deleting the others:
+    strand ``k+1`` belongs to group ``group[k]``, or to none if it is -1.
+
+    One pass keeps each strand's rank within its group.  A crossing inside a
+    group is that group's letter at the left strand's rank and swaps the two
+    ranks; a crossing between groups changes no rank.
+    """
+    sizes = [0] * (max(group) + 1)
+    rank = [0] * w.degree
+    for k, g in enumerate(group):
+        if g >= 0:
+            rank[k], sizes[g] = sizes[g], sizes[g] + 1
+    cur = list(range(w.degree))  # cur[p]: the strand at position p+1, from 0
+    out: list[list[Letter]] = [[] for _ in sizes]
     for i, s in w.letters:
         u, v = cur[i - 1], cur[i]
-        if u in keep and v in keep:
-            pos = sum(1 for p in range(i - 1) if cur[p] in keep) + 1
-            out.append((pos, s))
+        g = group[u]
+        if g >= 0 and g == group[v]:
+            out[g].append((rank[u] + 1, s))
+            rank[u], rank[v] = rank[v], rank[u]
         cur[i - 1], cur[i] = v, u
-    return BraidWord(len(keep), tuple(out))
+    return [BraidWord(size, tuple(letters)) for size, letters in zip(sizes, out)]
 
 
 def search_decomposition(
@@ -424,18 +435,19 @@ def search_decomposition(
     braids; it sends ``cable_lift(r, n)`` to ``r`` and braids inside the
     cables to the identity.  So the braid ``b`` induces on those strands is
     the tubular braid of any witness.  The interiors are read off
-    ``cable_lift(tubular)^-1 * b``, the verticals off ``a``, and
-    :func:`verify_decomposition` alone decides, refuting a wrong block
-    permutation before any normal form: ``None`` means no witness exists.
+    ``cable_lift(tubular)^-1 * b``, the verticals off ``a``, each in one pass
+    over its word, and :func:`verify_decomposition` alone decides, refuting a
+    wrong block permutation before any normal form: ``None`` means no witness
+    exists.  A tubular braid whose lift would pass ``WORD_CAP`` letters
+    raises :class:`SearchBudgetExceeded`.
     """
     _check_blocks(a, b, n, m)
-    strands = _extract_block(b, frozenset(range(1, n * m + 1, n)))
+    (strands,) = _induced(b, [0 if k % n == 0 else -1 for k in range(n * m)])
     tubular = BraidWord(m, free_reduce(FreeWord(m, strands.letters)).letters)
     rem = cable_lift(tubular, n).inverse() * b
-    blocks = [frozenset(range(n * j + 1, n * j + n + 1)) for j in range(m)]
-    interior = tuple(_extract_block(rem, blk) for blk in blocks)
-    vertical = tuple(_extract_block(a, blk) for blk in blocks)
-    witness = CableDecomposition(n, m, tubular, interior, vertical)
+    blocks = [k // n for k in range(n * m)]
+    witness = CableDecomposition(n, m, tubular, tuple(_induced(rem, blocks)),
+                                 tuple(_induced(a, blocks)))
     return witness if verify_decomposition(a, b, witness) else None
 
 
@@ -470,7 +482,8 @@ def ribbon_verdict(
     only a verified one, and ``Unknown`` with "no cable decomposition found"
     means none exists for these blocks.  ``Ribbon`` requires the witness to verify and every
     vertical cable braid to close to an unknot; any undecided sub-check
-    yields ``Unknown``.
+    yields ``Unknown``.  A cable lift past ``WORD_CAP`` letters raises
+    :class:`SearchBudgetExceeded`.
     """
     _check_blocks(a, b, n, m)
     check_pair(a, b)

@@ -4,7 +4,10 @@ None of these is on a command's path: the library answers each question
 another way (the word search and the closed-form slides by
 ``movies._positive_path``, the Boltzmann exponent by the linear sum in
 ``cocycle_invariant``, the color pushes and the per-coloring replay by the
-linear forms of ``quandles._coloring_generators`` and ``triple_points``).
+linear forms of ``quandles._coloring_generators`` and ``triple_points``, the
+per-letter normal form by one factor per simple run in
+``braids.normal_form``, the per-block strand deletion by the one-pass
+``ribbon._induced``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,16 @@ from dataclasses import replace
 from math import gcd
 
 from torusbraid.artin import FreeLetter, FreeWord
-from torusbraid.braids import BraidWord, Letter, garside_delta
+from torusbraid.braids import (
+    BraidWord,
+    Letter,
+    NormalForm,
+    Perm,
+    _append,
+    _gather_deltas,
+    check_cap,
+    garside_delta,
+)
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 from torusbraid.movies import (
     R3,
@@ -327,3 +339,49 @@ def parse_free_word(text: str, rank: int) -> FreeWord:
         else:
             letters.extend([(j, -1)] * (-total))
     return FreeWord(rank, tuple(letters))
+
+
+def _transposition(m: int, i: int) -> Perm:
+    p = list(range(1, m + 1))
+    p[i - 1], p[i] = p[i], p[i - 1]
+    return tuple(p)
+
+
+def per_letter_normal_form(w: BraidWord, memo: dict | None = None) -> NormalForm:
+    """The normal form appended one letter at a time: ``w`` is read as
+    ``Delta^-r Y_1 ... Y_n`` with the factor ``sigma_i``, or ``Delta
+    sigma_i^-1`` for a negative letter, conjugated by ``Delta`` once for each
+    negative letter to its right."""
+    m = w.degree
+    ident = tuple(range(1, m + 1))
+    w0: Perm = tuple(range(m, 0, -1))  # the half-twist permutation i -> m+1-i
+    r = sum(1 for _, s in w.letters if s < 0)
+    right = r  # negative letters from the current one to the end
+    factors: list[Perm] = []
+    memo = {} if memo is None else memo
+    steps = 0
+    for i, s in w.letters:
+        if s < 0:
+            right -= 1
+        y = _transposition(m, m - i if right % 2 else i)
+        if s < 0:
+            y = tuple(y[x - 1] for x in w0)  # w0 then y
+            if y == ident:  # Delta*sigma_1^-1 at degree 2
+                continue
+        steps += _append(factors, y, memo)
+        check_cap(steps, "normal form", "left-weighting steps")
+    return _gather_deltas(m, -r, factors)
+
+
+def _extract_block(w: BraidWord, keep: frozenset[int]) -> BraidWord:
+    """The braid induced on a subset of strands, deleting the others, with
+    the kept strands left of each crossing counted again."""
+    cur = list(range(1, w.degree + 1))
+    out: list[Letter] = []
+    for i, s in w.letters:
+        u, v = cur[i - 1], cur[i]
+        if u in keep and v in keep:
+            pos = sum(1 for p in range(i - 1) if cur[p] in keep) + 1
+            out.append((pos, s))
+        cur[i - 1], cur[i] = v, u
+    return BraidWord(len(keep), tuple(out))

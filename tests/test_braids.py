@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 
@@ -35,6 +36,10 @@ from torusbraid.braids import (
     word,
 )
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
+
+from oracles import _transposition, per_letter_normal_form
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def test_word_validation():
@@ -450,12 +455,6 @@ def _flip(p, m):
     return tuple(m + 1 - p[m - 1 - i] for i in range(m))
 
 
-def _transposition(m, i):
-    p = list(range(1, m + 1))
-    p[i - 1], p[i] = p[i], p[i - 1]
-    return tuple(p)
-
-
 def _sweep_left_weight_pair(A, B, m):
     """Slide generators from B into A until (A, B) is left-weighted."""
     moved = False
@@ -544,8 +543,10 @@ def _assert_left_greedy(nf):
 
 
 def _check_against_sweep(w):
+    """Against the sweep and the per-letter normal form, which share no code."""
     nf = normal_form(w)
     assert nf == _sweep_normal_form(w)
+    assert nf == per_letter_normal_form(w)
     _assert_left_greedy(nf)
 
 
@@ -591,6 +592,80 @@ def test_normal_form_matches_sweep_on_relation_insertions():
 def test_normal_form_matches_sweep_property(case):
     m, letters = case
     _check_against_sweep(word(m, letters))
+
+
+# ---------------------------------------------------------------------------
+# one factor per simple run; the sweep tests above also compare it with the
+# per-letter normal form
+# ---------------------------------------------------------------------------
+
+
+def test_normal_form_matches_per_letter_on_random_words():
+    # many more words than the sweep can take: the per-letter oracle is linear
+    rng = random.Random(20261020)
+    for sign in (1, -1, 0):
+        for _ in range(500):
+            m = rng.randint(2, 9)
+            w = word(m, _random_letters(rng, m, rng.randint(0, 60), sign))
+            assert normal_form(w) == per_letter_normal_form(w), format_braid(w)
+
+
+def test_normal_form_matches_per_letter_on_the_long_words_workload(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    words = {x for seed in (1, 2, 3) for job in workloads.make_jobs("long-words", seed)
+             for x in job.args if isinstance(x, BraidWord)}
+    assert len(words) > 1000
+    for w in words:
+        assert normal_form(w) == per_letter_normal_form(w), format_braid(w)
+
+
+@pytest.mark.parametrize("m, letters", [
+    (4, [-1, -2, -3, -1, -2, -1]),  # one negative run, Delta^-1, skipped
+    (4, [2, -1, -2, -3, -1, -2, -1, 3]),
+    (2, [1, 1, -1, 1, -1, -1, -1]),
+    (2, [-1]),
+    (3, [1, 2, 1, 2]),  # the run is cut where strands 1 and 2 would cross again
+    (4, [1, -2, 3, -1, 2, -3, 1, -2]),  # the sign alternates letter by letter
+    (5, [-4, 3, -2, 1, -4, 3, -2, 1]),
+])
+def test_normal_form_matches_oracles_on_edge_cases(m, letters):
+    _check_against_sweep(word(m, letters))
+
+
+def test_negative_half_twist_run_adds_no_factor():
+    nf = normal_form(word(4, [-1, -2, -3, -1, -2, -1]))
+    assert (nf.infimum, nf.factors) == (-1, ())
+
+
+def test_normal_form_appends_once_per_simple_run(monkeypatch):
+    # 1 2 3 1 2 | 3 1 2 3 1 2 | 3: each cut is where two strands would cross again
+    calls = []
+    append = braids._append
+
+    def counting_append(factors, y, memo):
+        calls.append(y)
+        return append(factors, y, memo)
+
+    w = word(4, [1, 2, 3]) ** 4
+    expected = per_letter_normal_form(w)  # 12 appends, one per letter
+    monkeypatch.setattr(braids, "_append", counting_append)
+    assert normal_form(w) == expected
+    assert calls == [(4, 3, 1, 2), (4, 3, 2, 1), (1, 2, 4, 3)]  # the middle run is Delta
+
+
+def test_normal_form_past_the_width_cap_raises_budget_error(monkeypatch):
+    # 12 factors of s1 at degree 4: 11 left-weighting steps of 4 entries each
+    w = word(4, [1] * 12)
+    nf = normal_form(w)
+    assert nf.canonical_length == 12
+    monkeypatch.setattr(braids, "WIDTH_CAP", 40)
+    message = r"^normal form reaches 44 permutation entries, over the cap of 40$"
+    with pytest.raises(SearchBudgetExceeded, match=message):
+        normal_form(w)
+    with pytest.raises(SearchBudgetExceeded, match=message):
+        _product(nf, nf, {})
 
 
 # ---------------------------------------------------------------------------

@@ -444,6 +444,58 @@ def test_normal_form_past_the_step_cap_exit_3(capsys):
                         r"over the cap of 1000000\n", err)
 
 
+# runs one command in a child with 2 GB of address space and a 30 s limit, and
+# prints its exit code, its peak RSS in kB, then its stdout and stderr
+PEAK_RSS_PROBE = """
+import resource, subprocess, sys
+def limit():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+p = subprocess.run([sys.executable, "-m", "torusbraid.cli", *sys.argv[1:]],
+                   capture_output=True, text=True, timeout=30, preexec_fn=limit)
+print(p.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.stdout.write(p.stdout + p.stderr)
+"""
+
+
+def test_normal_form_past_the_width_cap_exits_3():
+    # 10^6 runs of one letter at degree 600 pass no step cap before 10^7
+    # permutation entries; the budget stops them after 16,667 steps
+    argv = ["abelianization", "-m", "600", "-a", "e", "-b", "(1 1)^500000"]
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC}, check=True)
+    assert time.perf_counter() - start < 5.0
+    head, err = done.stdout.split("\n", 1)
+    code, peak_kb = map(int, head.split())
+    assert code == 3
+    assert err == ("undecided: normal form reaches 10000200 permutation entries, "
+                   "over the cap of 10000000\n")
+    assert peak_kb < 400 * 1024
+
+
+def test_cable_lift_past_the_cap_exits_3(capsys):
+    # the tubular braid s1^2000 would lift to 100^2 * 2000 letters
+    b = f"{' '.join(map(str, range(1, 100)))} (100)^2000 {' '.join(map(str, range(-99, 0)))}"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ribbon", "-m", "200", "-a", "e", "-b", b,
+                         "--block-size", "100", "--block-count", "2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "undecided: cable lift reaches 20000000 letters, over the cap of 1000000\n"
+
+
+def test_ribbon_reads_off_many_blocks_in_linear_time(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "ribbon", "-m", "8000", "-a", "e", "-b", "e",
+                       "--block-size", "1", "--block-count", "8000")
+    assert time.perf_counter() - start < 1.0
+    blocks = range(1, 8001)
+    assert (code, out.splitlines()) == (0, [
+        "verdict: Ribbon", "blocks: 1 x 8000", "tubular: e",
+        *(f"interior{j}: e" for j in blocks),
+        *(f"vertical{j}: e (destabilizes to the braid on one strand)" for j in blocks)])
+
+
 def test_pseudo_anosov_relators_past_the_cap_exit_3(capsys):
     # the images of (s1 s2^-1)^16 would reach about 28M letters
     start = time.perf_counter()

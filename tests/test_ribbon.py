@@ -24,7 +24,6 @@ from torusbraid.ribbon import (
     CableDecomposition,
     Laurent,
     _det,
-    _extract_block,
     alexander_polynomial,
     read_witness,
     reduced_burau,
@@ -34,6 +33,8 @@ from torusbraid.ribbon import (
     verify_decomposition,
     write_witness,
 )
+
+from oracles import _extract_block
 
 TREFOIL_POLY = Laurent(((0, 1), (1, -1), (2, 1)))
 
@@ -554,24 +555,42 @@ def _random_word(rng, degree, max_len):
                          for _ in range(rng.randint(0, max_len))])
 
 
-def test_random_forward_compositions_always_verify():
+def _forward_compositions():
+    """``(witness, a, b)`` built from random tubular, interior and vertical braids."""
     rng = random.Random(12)
     for n, m in ((2, 2), (2, 3), (3, 2), (2, 4)):
         for _ in range(20):
             tubular = _random_word(rng, m, 3)
             interior = tuple(_random_word(rng, n, 3) for _ in range(m))
             vertical = tuple(_random_word(rng, n, 3) for _ in range(m))
-            cd = CableDecomposition(n, m, tubular, interior, vertical)
             b = cable_lift(tubular, n)
             a = BraidWord(n * m, ())
             for j in range(m):
                 b = b * iota_embed(interior[j], n * j, n * (m - 1 - j))
                 a = a * iota_embed(vertical[j], n * j, n * (m - 1 - j))
-            assert verify_decomposition(a, b, cd)
-            found = search_decomposition(a, b, n, m)
-            assert found is not None
-            assert braids_equal(found.tubular, tubular)
-            assert verify_decomposition(a, b, found)
+            yield CableDecomposition(n, m, tubular, interior, vertical), a, b
+
+
+def test_random_forward_compositions_always_verify():
+    for cd, a, b in _forward_compositions():
+        assert verify_decomposition(a, b, cd)
+        found = search_decomposition(a, b, cd.block_size, cd.block_count)
+        assert found is not None
+        assert braids_equal(found.tubular, cd.tubular)
+        assert verify_decomposition(a, b, found)
+
+
+def test_one_pass_read_off_matches_the_per_block_oracle():
+    cases = [*_census_ribbon_families(),
+             *((a, b, cd.block_size, cd.block_count) for cd, a, b in _forward_compositions()),
+             *((a, garside_delta(n * m) ** k, n, m) for a, k, n, m in RIBBON_FAMILIES)]
+    for a, b, n, m in cases:
+        firsts = [0 if k % n == 0 else -1 for k in range(n * m)]
+        assert ribbon._induced(b, firsts) == [_extract_block(b, frozenset(range(1, n * m, n)))]
+        blocks = [k // n for k in range(n * m)]
+        keep = [frozenset(range(n * j + 1, n * j + n + 1)) for j in range(m)]
+        for w in (a, b, b.inverse() * a):
+            assert ribbon._induced(w, blocks) == [_extract_block(w, blk) for blk in keep]
 
 
 @pytest.mark.parametrize("a, k, n, m", [
