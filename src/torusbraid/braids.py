@@ -45,6 +45,7 @@ normal form.  A normal form past ``WORD_CAP`` left-weighting steps, or past
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -158,7 +159,8 @@ def parse_braid(text: str, degree: int) -> BraidWord:
     * ``e``: the empty word (handy as a whole-input placeholder).
 
     A degree past ``WORD_CAP`` strands, or a group or word past ``WORD_CAP``
-    letters, raises :class:`SearchBudgetExceeded` before it is built.
+    letters, raises :class:`SearchBudgetExceeded` before it is built.  A group
+    to the power zero builds nothing, though its tokens are still checked.
 
     >>> parse_braid("1 2 2 2 3", 4).letters
     ((1, 1), (2, 1), (2, 1), (2, 1), (3, 1))
@@ -167,36 +169,45 @@ def parse_braid(text: str, degree: int) -> BraidWord:
     """
     check_cap(degree, "braid degree", "strands")
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    # a group's power follows its ')': read it before the group's tokens
+    zero: set[int] = set()  # where groups to the power zero open
+    opened: list[int] = []
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            opened.append(i)
+        elif tok == ")" and opened:
+            start, suffix = opened.pop(), "".join(tokens[i + 1 : i + 2])
+            with suppress(PreconditionError):  # a bad power is refused after its group
+                if suffix.startswith("^") and _parse_power(suffix) == 0:
+                    zero.add(start)
     pos = 0
 
-    def parse_seq(depth: int) -> list[Letter]:
+    def parse_seq(depth: int, build: bool) -> list[Letter]:
         nonlocal pos
         out: list[Letter] = []
         while pos < len(tokens):
             tok = tokens[pos]
+            pos += 1
             if tok == ")":
                 if depth == 0:
                     raise PreconditionError("unbalanced ')' in braid word")
                 return out
-            pos += 1
             if tok == "(":
-                base = parse_seq(depth + 1)
-                if pos >= len(tokens) or tokens[pos] != ")":
-                    raise PreconditionError("unbalanced '(' in braid word")
-                pos += 1
+                base = parse_seq(depth + 1, build and pos - 1 not in zero)
                 power = 1
                 if pos < len(tokens) and tokens[pos].startswith("^"):
                     power = _parse_power(tokens[pos])
                     pos += 1
             else:
-                base, power = _parse_token(tok, degree)
-            check_cap(len(out) + len(base) * abs(power))
-            out.extend(_word_power(base, power))
+                base, power = _parse_token(tok, degree, build)
+            if build:
+                check_cap(len(out) + len(base) * abs(power))
+                out.extend(_word_power(base, power))
         if depth != 0:
             raise PreconditionError("unbalanced '(' in braid word")
         return out
 
-    letters = parse_seq(0)
+    letters = parse_seq(0, True)
     return BraidWord(degree, tuple(letters))
 
 
@@ -222,8 +233,9 @@ def _word_power(letters: list[Letter], k: int) -> list[Letter]:
     return inv * (-k)
 
 
-def _parse_token(tok: str, degree: int) -> tuple[list[Letter], int]:
-    """A token's letters and its power, not yet expanded."""
+def _parse_token(tok: str, degree: int, build: bool) -> tuple[list[Letter], int]:
+    """A token's letters and its power, not yet expanded; a half twist is
+    built only under ``build``, in a group whose power is not zero."""
     base, caret, exp = tok.partition("^")
     power = 1
     if caret:
@@ -232,9 +244,11 @@ def _parse_token(tok: str, degree: int) -> tuple[list[Letter], int]:
         except ValueError:
             raise PreconditionError(f"bad power in token {tok!r}") from None
     if base in ("D", "d"):
+        if not (build and power):
+            return [], power
         # Delta has m(m-1)/2 letters: check before building it
         check_cap(degree * (degree - 1) // 2 * abs(power))
-        return (list(garside_delta(degree).letters) if power else []), power
+        return list(garside_delta(degree).letters), power
     if base in ("e", "E"):
         return [], power
     if base.startswith("s"):

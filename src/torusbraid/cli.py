@@ -6,8 +6,9 @@ half twist, ``e`` for the empty word), prints deterministic text, and
 offers ``--json`` for versioned machine-readable output.  In ``group --json``
 the relators name generators by position: ``xk`` is the k-th entry of
 ``generators``, whereas the text form spells them with those names.  Exit
-codes: 0 for a completed computation, 2 for a ``PreconditionError``, 3 for
-an honest ``Unknown`` verdict, 141 when the reader of the output closes the
+codes: 0 for a completed computation or ``--help``, 2 for a
+``PreconditionError`` or a usage error that argparse reports, 3 for an
+honest ``Unknown`` verdict, 141 when the reader of the output closes the
 pipe early (as a shell reports a process killed by ``SIGPIPE``).
 """
 
@@ -46,7 +47,8 @@ EXIT_UNKNOWN = 3
 
 
 # What a handler returns: exit code, JSON payload (tuples serialize as
-# arrays), text lines.  ``main`` alone prints it.
+# arrays), text lines.  ``main`` alone prints it.  A handler whose row reads
+# the braid pair gets its two words, parsed, after the namespace.
 Result = tuple[int, dict, list[str]]
 
 
@@ -55,18 +57,12 @@ def _fields(payload: dict, *keys: str) -> list[str]:
     return [f"{key.replace('_', ' ')}: {payload[key]}" for key in keys]
 
 
-def _braid_pair(args: argparse.Namespace) -> tuple[BraidWord, BraidWord]:
-    m = args.degree
-    return parse_braid(args.a, m), parse_braid(args.b, m)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 
-def _cmd_group(args: argparse.Namespace) -> Result:
-    a, b = _braid_pair(args)
+def _cmd_group(args: argparse.Namespace, a: BraidWord, b: BraidWord) -> Result:
     p = torus_covering_group(a, b)
     if args.simplify:
         p = tietze_eliminate(p)
@@ -78,8 +74,7 @@ def _cmd_group(args: argparse.Namespace) -> Result:
     return EXIT_OK, payload, [format_presentation(p)]
 
 
-def _cmd_abelianization(args: argparse.Namespace) -> Result:
-    a, b = _braid_pair(args)
+def _cmd_abelianization(args: argparse.Namespace, a: BraidWord, b: BraidWord) -> Result:
     inv = torus_abelianization(a, b, args.quotient_center)
     payload = {
         "degree": args.degree,
@@ -104,8 +99,7 @@ def _parse_finite_group(name: str) -> FiniteGroup:
     return cyclic_group(k)
 
 
-def _cmd_quotients(args: argparse.Namespace) -> Result:
-    a, b = _braid_pair(args)
+def _cmd_quotients(args: argparse.Namespace, a: BraidWord, b: BraidWord) -> Result:
     group = _parse_finite_group(args.group)
     counts = finite_quotient_count(tietze_eliminate(torus_covering_group(a, b)), group)
     payload = {"degree": args.degree, "group": group.name, **asdict(counts)}
@@ -113,8 +107,7 @@ def _cmd_quotients(args: argparse.Namespace) -> Result:
     return EXIT_OK, payload, lines
 
 
-def _cmd_colorings(args: argparse.Namespace) -> Result:
-    a, b = _braid_pair(args)
+def _cmd_colorings(args: argparse.Namespace, a: BraidWord, b: BraidWord) -> Result:
     cols = torus_colorings(a, b, dihedral_quandle(args.quandle))
     payload = {
         "degree": args.degree,
@@ -127,16 +120,14 @@ def _cmd_colorings(args: argparse.Namespace) -> Result:
     return EXIT_OK, payload, lines
 
 
-def _cmd_cocycle(args: argparse.Namespace) -> Result:
-    a, b = _braid_pair(args)
+def _cmd_cocycle(args: argparse.Namespace, a: BraidWord, b: BraidWord) -> Result:
     movie = read_movie(args.movie) if args.movie else None
     phi = cocycle_invariant(a, b, movie=movie)
     payload = {"degree": args.degree, "coefficients": phi.coeffs}
     return EXIT_OK, payload, [str(phi), "coefficients: " + " ".join(map(str, phi.coeffs))]
 
 
-def _cmd_ribbon(args: argparse.Namespace) -> Result:
-    a, b = _braid_pair(args)
+def _cmd_ribbon(args: argparse.Namespace, a: BraidWord, b: BraidWord) -> Result:
     witness = read_witness(args.witness) if args.witness else None
     verdict = ribbon_verdict(a, b, args.block_size, args.block_count, witness)
     if verdict.status != RIBBON:
@@ -167,8 +158,7 @@ def _cmd_ribbon(args: argparse.Namespace) -> Result:
     return EXIT_OK, payload, lines
 
 
-def _cmd_transform(args: argparse.Namespace) -> Result:
-    a, b = _braid_pair(args)
+def _cmd_transform(args: argparse.Namespace, a: BraidWord, b: BraidWord) -> Result:
     chart = ChartData(args.degree, a, b)
     out = rho(chart) if args.operation == "rho" else tau(chart)
     payload = {
@@ -199,7 +189,51 @@ def _cmd_h_member(args: argparse.Namespace) -> Result:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **kwargs) -> tuple:
+    """One ``add_argument`` call, made when a parser is built."""
+    return flags, kwargs
+
+
+_PAIR = [
+    _arg("-m", "--degree", type=int, required=True, help="braid degree (number of strands)"),
+    _arg("-a", required=True, metavar="WORD", help="vertical boundary braid word"),
+    _arg("-b", required=True, metavar="WORD", help="horizontal boundary braid word"),
+]
+_JSON = [_arg("--json", action="store_true", help="machine-readable output (schema %s)" % SCHEMA)]
+
+# One row per subcommand: name, handler, help, whether it reads the braid
+# pair -m/-a/-b, and its own arguments.  A new subcommand is one row.  Rows
+# hold the _cmd_* handlers, which look the library functions up when they run.
+_COMMANDS = (
+    ("group", _cmd_group, "link group presentation of the pair", True, [
+        _arg("--simplify", action="store_true", help="eliminate redundant generators first")]),
+    ("abelianization", _cmd_abelianization, "first homology of the link group", True, [
+        _arg("--quotient-center", action="store_true",
+             help="first quotient by the central half-twist power word")]),
+    ("quotients", _cmd_quotients, "count homomorphisms onto a finite group", True, [
+        _arg("--group", required=True, metavar="NAME", help="target group: S<k>, D<k> or Z<k>")]),
+    ("colorings", _cmd_colorings, "quandle colorings fixed by both braids", True, [
+        _arg("--quandle", type=int, default=3, metavar="P",
+             help="dihedral quandle order (default 3)")]),
+    ("cocycle", _cmd_cocycle, "cocycle state sum over three-element colorings", True, [
+        _arg("--movie", metavar="FILE", help="movie file to use instead of generating one")]),
+    ("ribbon", _cmd_ribbon, "ribbon certificate via cable decomposition", True, [
+        _arg("--block-size", type=int, required=True, metavar="N", help="strands per cable"),
+        _arg("--block-count", type=int, required=True, metavar="M",
+             help="number of cables (degree = N*M)"),
+        _arg("--witness", metavar="FILE",
+             help="supply a cabling witness instead of reading one off"),
+        _arg("--save-witness", metavar="FILE", help="write the verified certificate to FILE")]),
+    ("transform", _cmd_transform, "rotate or shear the pair", True, [
+        _arg("operation", choices=("rho", "tau"), help="rho: quarter turn; tau: shear b by a")]),
+    ("h-member", _cmd_h_member, "framed basis-change subgroup membership", False, [
+        _arg("--matrix", required=True, metavar="'9 INTS'",
+             help="3x3 integer matrix, row-major, space separated")]),
+)
+
+
+def _parser(commands) -> argparse.ArgumentParser:
+    """The ``torusbraid`` parser with a subparser for each given row."""
     parser = argparse.ArgumentParser(
         prog="torusbraid",
         description=(
@@ -211,79 +245,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("-m", "--degree", type=int, required=True,
-                      help="braid degree (number of strands)")
-    pair.add_argument("-a", required=True, metavar="WORD",
-                      help="vertical boundary braid word")
-    pair.add_argument("-b", required=True, metavar="WORD",
-                      help="horizontal boundary braid word")
-    js = argparse.ArgumentParser(add_help=False)
-    js.add_argument("--json", action="store_true",
-                    help="machine-readable output (schema %s)" % SCHEMA)
-
-    p = sub.add_parser("group", parents=[pair, js],
-                       help="link group presentation of the pair")
-    p.add_argument("--simplify", action="store_true",
-                   help="eliminate redundant generators first")
-    p.set_defaults(func=_cmd_group)
-
-    p = sub.add_parser("abelianization", parents=[pair, js],
-                       help="first homology of the link group")
-    p.add_argument("--quotient-center", action="store_true",
-                   help="first quotient by the central half-twist power word")
-    p.set_defaults(func=_cmd_abelianization)
-
-    p = sub.add_parser("quotients", parents=[pair, js],
-                       help="count homomorphisms onto a finite group")
-    p.add_argument("--group", required=True, metavar="NAME",
-                   help="target group: S<k>, D<k> or Z<k>")
-    p.set_defaults(func=_cmd_quotients)
-
-    p = sub.add_parser("colorings", parents=[pair, js],
-                       help="quandle colorings fixed by both braids")
-    p.add_argument("--quandle", type=int, default=3, metavar="P",
-                   help="dihedral quandle order (default 3)")
-    p.set_defaults(func=_cmd_colorings)
-
-    p = sub.add_parser("cocycle", parents=[pair, js],
-                       help="cocycle state sum over three-element colorings")
-    p.add_argument("--movie", metavar="FILE",
-                   help="movie file to use instead of generating one")
-    p.set_defaults(func=_cmd_cocycle)
-
-    p = sub.add_parser("ribbon", parents=[pair, js],
-                       help="ribbon certificate via cable decomposition")
-    p.add_argument("--block-size", type=int, required=True, metavar="N",
-                   help="strands per cable")
-    p.add_argument("--block-count", type=int, required=True, metavar="M",
-                   help="number of cables (degree = N*M)")
-    p.add_argument("--witness", metavar="FILE",
-                   help="supply a cabling witness instead of reading one off")
-    p.add_argument("--save-witness", metavar="FILE",
-                   help="write the verified certificate to FILE")
-    p.set_defaults(func=_cmd_ribbon)
-
-    p = sub.add_parser("transform", parents=[pair, js],
-                       help="rotate or shear the pair")
-    p.add_argument("operation", choices=("rho", "tau"),
-                   help="rho: quarter turn; tau: shear b by a")
-    p.set_defaults(func=_cmd_transform)
-
-    p = sub.add_parser("h-member", parents=[js],
-                       help="framed basis-change subgroup membership")
-    p.add_argument("--matrix", required=True, metavar="'9 INTS'",
-                   help="3x3 integer matrix, row-major, space separated")
-    p.set_defaults(func=_cmd_h_member)
-
+    for name, func, help_text, takes_pair, arguments in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in (_PAIR if takes_pair else []) + _JSON + arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand, as ``torusbraid --help`` shows it."""
+    return _parser(_COMMANDS)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Build only the named subcommand's parser.  Its errors read as the full
+    # parser's, save "unrecognized arguments": that usage line lists every
+    # subcommand, so that parse is repeated on the full parser.
+    rows = [row for row in _COMMANDS if argv[:1] == [row[0]]] or _COMMANDS
+    args, rest = _parser(rows).parse_known_args(argv)
+    if rest:
+        build_parser().parse_args(argv)
     try:
-        code, payload, lines = args.func(args)
+        words = [parse_braid(w, args.degree) for w in (args.a, args.b)] if "a" in args else []
+        code, payload, lines = args.func(args, *words)
         if args.json:
             doc = {"schema": SCHEMA, "command": args.command, **payload}
             lines = [json.dumps(doc, sort_keys=True)]

@@ -7,11 +7,13 @@ another way (the word search and the closed-form slides by
 linear forms of ``quandles._coloring_generators`` and ``triple_points``, the
 per-letter normal form by one factor per simple run in
 ``braids.normal_form``, the per-block strand deletion by the one-pass
-``ribbon._induced``).
+``ribbon._induced``, the parser of every subcommand by ``cli._parser`` of
+the one being run).
 """
 
 from __future__ import annotations
 
+import argparse
 from collections import deque
 from dataclasses import replace
 from math import gcd
@@ -26,6 +28,17 @@ from torusbraid.braids import (
     _gather_deltas,
     check_cap,
     garside_delta,
+)
+from torusbraid.cli import (
+    SCHEMA,
+    _cmd_abelianization,
+    _cmd_cocycle,
+    _cmd_colorings,
+    _cmd_group,
+    _cmd_h_member,
+    _cmd_quotients,
+    _cmd_ribbon,
+    _cmd_transform,
 )
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 from torusbraid.movies import (
@@ -385,3 +398,86 @@ def _extract_block(w: BraidWord, keep: frozenset[int]) -> BraidWord:
             out.append((pos, s))
         cur[i - 1], cur[i] = v, u
     return BraidWord(len(keep), tuple(out))
+
+
+def full_parser_oracle() -> argparse.ArgumentParser:
+    """Every subcommand's parser built in one go, as ``cli.main`` once did
+    on each call."""
+    parser = argparse.ArgumentParser(
+        prog="torusbraid",
+        description=(
+            "Invariants of surface links braided over the torus, presented "
+            "by a pair of commuting braids.  The toolkit computes link-group "
+            "presentations, abelianizations, finite-quotient counts, quandle "
+            "colorings, cocycle state sums, ribbon certificates and chart "
+            "transforms; it does not decide link equivalence."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("-m", "--degree", type=int, required=True,
+                      help="braid degree (number of strands)")
+    pair.add_argument("-a", required=True, metavar="WORD",
+                      help="vertical boundary braid word")
+    pair.add_argument("-b", required=True, metavar="WORD",
+                      help="horizontal boundary braid word")
+    js = argparse.ArgumentParser(add_help=False)
+    js.add_argument("--json", action="store_true",
+                    help="machine-readable output (schema %s)" % SCHEMA)
+
+    p = sub.add_parser("group", parents=[pair, js],
+                       help="link group presentation of the pair")
+    p.add_argument("--simplify", action="store_true",
+                   help="eliminate redundant generators first")
+    p.set_defaults(func=_cmd_group)
+
+    p = sub.add_parser("abelianization", parents=[pair, js],
+                       help="first homology of the link group")
+    p.add_argument("--quotient-center", action="store_true",
+                   help="first quotient by the central half-twist power word")
+    p.set_defaults(func=_cmd_abelianization)
+
+    p = sub.add_parser("quotients", parents=[pair, js],
+                       help="count homomorphisms onto a finite group")
+    p.add_argument("--group", required=True, metavar="NAME",
+                   help="target group: S<k>, D<k> or Z<k>")
+    p.set_defaults(func=_cmd_quotients)
+
+    p = sub.add_parser("colorings", parents=[pair, js],
+                       help="quandle colorings fixed by both braids")
+    p.add_argument("--quandle", type=int, default=3, metavar="P",
+                   help="dihedral quandle order (default 3)")
+    p.set_defaults(func=_cmd_colorings)
+
+    p = sub.add_parser("cocycle", parents=[pair, js],
+                       help="cocycle state sum over three-element colorings")
+    p.add_argument("--movie", metavar="FILE",
+                   help="movie file to use instead of generating one")
+    p.set_defaults(func=_cmd_cocycle)
+
+    p = sub.add_parser("ribbon", parents=[pair, js],
+                       help="ribbon certificate via cable decomposition")
+    p.add_argument("--block-size", type=int, required=True, metavar="N",
+                   help="strands per cable")
+    p.add_argument("--block-count", type=int, required=True, metavar="M",
+                   help="number of cables (degree = N*M)")
+    p.add_argument("--witness", metavar="FILE",
+                   help="supply a cabling witness instead of reading one off")
+    p.add_argument("--save-witness", metavar="FILE",
+                   help="write the verified certificate to FILE")
+    p.set_defaults(func=_cmd_ribbon)
+
+    p = sub.add_parser("transform", parents=[pair, js],
+                       help="rotate or shear the pair")
+    p.add_argument("operation", choices=("rho", "tau"),
+                   help="rho: quarter turn; tau: shear b by a")
+    p.set_defaults(func=_cmd_transform)
+
+    p = sub.add_parser("h-member", parents=[js],
+                       help="framed basis-change subgroup membership")
+    p.add_argument("--matrix", required=True, metavar="'9 INTS'",
+                   help="3x3 integer matrix, row-major, space separated")
+    p.set_defaults(func=_cmd_h_member)
+
+    return parser

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 import time
 
 import pytest
@@ -89,6 +90,7 @@ def test_parse_powers_and_half_twist():
     ("(1)^600000 (2)^600000", 3, 1_200_000),
     ("D", 100_000, 4_999_950_000),
     ("1 D^-2", 100_000, 9_999_900_000),
+    ("(D)^1", 100_000, 4_999_950_000),
 ])
 def test_parse_rejects_words_past_the_cap_before_building_them(text, degree, size):
     start = time.perf_counter()
@@ -101,6 +103,27 @@ def test_parse_does_not_build_delta_to_the_power_zero():
     start = time.perf_counter()
     assert parse_braid("D^0 1", 100_000) == word(100_000, [1])
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text", ["(D)^0", "(D D)^0", "((D)^3)^0", "(D (s1^2000000)^1)^0"])
+def test_parse_builds_nothing_in_a_group_to_the_power_zero(text):
+    start = time.perf_counter()
+    assert parse_braid(f"1 {text} 2", 100_000) == word(100_000, [1, 2])
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(D x)^0", "unrecognized braid token 'x'"),
+    ("((1)^y)^0", "bad power suffix '^y'"),
+    ("(0)^0", "0 is not a valid braid letter"),
+    ("(1)^0 )", "unbalanced ')' in braid word"),
+    ("( (1)^0", "unbalanced '(' in braid word"),
+    ("(x)^y", "unrecognized braid token 'x'"),  # a group's tokens before its power
+    ("(1 ) ^z", "bad power suffix '^z'"),
+])
+def test_parse_checks_every_token_of_a_group_to_the_power_zero(text, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        parse_braid(text, 100_000)
 
 
 def test_parse_accepts_a_word_at_the_cap():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,13 +13,17 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torusbraid
+from torusbraid import cli
 from torusbraid.cli import SCHEMA, main
+
+from oracles import full_parser_oracle
 
 SRC = os.path.dirname(os.path.dirname(torusbraid.__file__))
 
@@ -339,6 +344,17 @@ def test_colorings_past_the_smith_cap_exit_3(capsys):
     assert (code, out) == (3, "")
     assert err == ("undecided: Smith form of a 738 x 369 matrix reaches 100486818 steps, "
                    "over the cap of 100000000\n")
+
+
+@pytest.mark.parametrize("a, code, out, err", [
+    ("(D)^0", 0, "degree: 100000\na: e\nb: e\n", ""),
+    ("(D)^1", 3, "", "undecided: braid word reaches 4999950000 letters, over the cap of 1000000\n"),
+    ("(D x)^0", 2, "", "error: unrecognized braid token 'x'\n"),
+])
+def test_half_twist_in_a_group_to_the_power_zero_is_not_built(capsys, a, code, out, err):
+    start = time.perf_counter()
+    assert run(capsys, "transform", "-m", "100000", "-a", a, "-b", "e", "tau") == (code, out, err)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_half_twist_past_the_cap_exits_3(capsys):
@@ -729,6 +745,69 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def _exit(call, argv: list[str]) -> tuple[object, str, str]:
+    """Exit code (returned or raised), stdout and stderr of ``call(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:  # argparse: help, or a usage error
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ["group", "abelianization", "quotients", "colorings", "cocycle", "ribbon",
+            "transform", "h-member"]
+PAIR3 = ["-m", "3", "-a", "1", "-b", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([command, "--help"] for command in COMMANDS),
+    # one usage error per subcommand: a missing option, a bad int, a bad choice
+    ["group", "-m", "3", "-a", "1"],
+    ["abelianization", "-m", "x", "-a", "1", "-b", "1"],
+    ["quotients", *PAIR3],
+    ["colorings", *PAIR3, "--quandle", "x"],
+    ["cocycle", "-m", "3", "-b", "1"],
+    ["ribbon", *PAIR3, "--block-size", "x", "--block-count", "2"],
+    ["transform", *PAIR3, "spin"],
+    ["h-member"],
+    ["abelianization", *PAIR3, "--nope"],
+    ["h-member", "--matrix", "1 0 0 0 1 0 0 0 1", "extra"],
+    ["frobnicate"],
+    [],
+], ids=" ".join)
+def test_help_and_usage_errors_match_the_full_parser(monkeypatch, argv):
+    # argparse lays help out differently across Python versions, so the
+    # reference is the full parser on this interpreter, not a stored text
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _exit(lambda a: full_parser_oracle().parse_args(a), argv)
+    assert expected[0] in (0, 2)
+    assert _exit(main, argv) == expected
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert _exit(main, ["abelianization", "-m", "4", "-a", "1 3", "-b", "D^2"])[0] == 0
+    assert built == ["abelianization"]
+    for argv in (["--help"], ["--nope"]):
+        built.clear()
+        assert _exit(main, argv)[0] in (0, 2)
+        assert built == COMMANDS
+    # leftover arguments: the usage line that lists every subcommand
+    built.clear()
+    assert _exit(main, ["abelianization", *PAIR3, "--nope"])[0] == 2
+    assert built == ["abelianization", *COMMANDS]
+
+
 def _fresh_python(*args: str, **kwargs) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
@@ -794,17 +873,22 @@ def _argv(draw):
         entries = draw(st.lists(st.sampled_from(["0", "1", "-1", "2", "x"]), max_size=10))
         return [command, "--matrix", " ".join(entries)]
     pair = ["-m", str(draw(st.integers(-1, 6))), "-a", draw(_WORDS), "-b", draw(_WORDS)]
-    return [command, *pair, *draw(_OPTIONS[command]), *draw(st.sampled_from([[], ["--json"]]))]
+    argv = [command, *pair, *draw(_OPTIONS[command]), *draw(st.sampled_from([[], ["--json"]]))]
+    extra = draw(st.sampled_from([None, None, "--nope", "-h"]))  # unrecognized, or help
+    if extra:
+        argv.insert(draw(st.integers(1, len(argv))), extra)
+    if draw(st.integers(0, 9)) == 0:
+        argv[0] = draw(st.sampled_from(["--json", "bogus", ""]))  # not a command
+    return argv
 
 
 @settings(deadline=None, max_examples=500)
 @given(_argv())
 def test_no_input_ends_in_a_traceback(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses the usage
-            code = exc.code
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    code, out, err = _exit(main, argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    # and main answers as it did when it called parse_args on every subcommand's parser
+    full = mock.Mock(parse_known_args=lambda a: (full_parser_oracle().parse_args(a), []))
+    with mock.patch.object(cli, "_parser", lambda rows: full):
+        assert _exit(main, argv) == (code, out, err)
