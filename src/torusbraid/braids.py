@@ -45,11 +45,10 @@ normal form.  A normal form past ``WORD_CAP`` left-weighting steps, or past
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import PreconditionError, SearchBudgetExceeded
+from .errors import PreconditionError, SearchBudgetExceeded, read_int
 
 Letter = tuple[int, int]
 Perm = tuple[int, ...]
@@ -158,9 +157,11 @@ def parse_braid(text: str, degree: int) -> BraidWord:
       whitespace-delimited except for the trailing ``^k``,
     * ``e``: the empty word (handy as a whole-input placeholder).
 
-    A degree past ``WORD_CAP`` strands, or a group or word past ``WORD_CAP``
-    letters, raises :class:`SearchBudgetExceeded` before it is built.  A group
-    to the power zero builds nothing, though its tokens are still checked.
+    An integer is an optional sign and ASCII digits.  The text is read
+    first, every token checked in reading order, and then expanded; a group to
+    the power zero is dropped as it is read, so it builds nothing.  A degree
+    past ``WORD_CAP`` strands, or a group or word past ``WORD_CAP`` letters,
+    raises :class:`SearchBudgetExceeded` before it is built.
 
     >>> parse_braid("1 2 2 2 3", 4).letters
     ((1, 1), (2, 1), (2, 1), (2, 1), (3, 1))
@@ -169,46 +170,36 @@ def parse_braid(text: str, degree: int) -> BraidWord:
     """
     check_cap(degree, "braid degree", "strands")
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    # a group's power follows its ')': read it before the group's tokens
-    zero: set[int] = set()  # where groups to the power zero open
-    opened: list[int] = []
-    for i, tok in enumerate(tokens):
-        if tok == "(":
-            opened.append(i)
-        elif tok == ")" and opened:
-            start, suffix = opened.pop(), "".join(tokens[i + 1 : i + 2])
-            with suppress(PreconditionError):  # a bad power is refused after its group
-                if suffix.startswith("^") and _parse_power(suffix) == 0:
-                    zero.add(start)
+    # (base, power) in reading order: a group is its '(' item, its content's
+    # items, then its ')' item, which holds the group's power
+    items: list[tuple] = []
+    starts: list[int] = []  # where the items of each open group start
     pos = 0
-
-    def parse_seq(depth: int, build: bool) -> list[Letter]:
-        nonlocal pos
-        out: list[Letter] = []
-        while pos < len(tokens):
-            tok = tokens[pos]
-            pos += 1
-            if tok == ")":
-                if depth == 0:
-                    raise PreconditionError("unbalanced ')' in braid word")
-                return out
-            if tok == "(":
-                base = parse_seq(depth + 1, build and pos - 1 not in zero)
-                power = 1
-                if pos < len(tokens) and tokens[pos].startswith("^"):
-                    power = _parse_power(tokens[pos])
-                    pos += 1
-            else:
-                base, power = _parse_token(tok, degree, build)
-            if build:
-                check_cap(len(out) + len(base) * abs(power))
-                out.extend(_word_power(base, power))
-        if depth != 0:
-            raise PreconditionError("unbalanced '(' in braid word")
-        return out
-
-    letters = parse_seq(0, True)
-    return BraidWord(degree, tuple(letters))
+    while pos < len(tokens):
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            starts.append(len(items))
+            items.append((_OPEN, 1))
+        elif tok == ")":
+            if not starts:
+                raise PreconditionError("unbalanced ')' in braid word")
+            power = 1
+            if pos < len(tokens) and tokens[pos].startswith("^"):
+                power = read_int(tokens[pos][1:], f"bad power suffix {tokens[pos]!r}")
+                pos += 1
+            start = starts.pop()
+            if power:
+                items.append((_CLOSE, power))
+            else:  # its tokens are checked, and it builds nothing
+                del items[start:]
+        else:
+            base, power = _parse_token(tok)
+            if power:
+                items.append((base, power))
+    if starts:
+        raise PreconditionError("unbalanced '(' in braid word")
+    return BraidWord(degree, tuple(_expand(items, degree)))
 
 
 def check_cap(size: int, what: str = "braid word", unit: str = "letters") -> None:
@@ -218,48 +209,49 @@ def check_cap(size: int, what: str = "braid word", unit: str = "letters") -> Non
         )
 
 
-def _parse_power(tok: str) -> int:
-    body = tok[1:]
-    try:
-        return int(body)
-    except ValueError:
-        raise PreconditionError(f"bad power suffix {tok!r}") from None
+_OPEN, _CLOSE, _DELTA = "(", ")", "D"  # the bases of read items that are not letters
 
 
-def _word_power(letters: list[Letter], k: int) -> list[Letter]:
+def _parse_token(tok: str) -> tuple:
+    """A token's base, its letters or ``_DELTA``, and its power."""
+    base, caret, exp = tok.partition("^")
+    power = read_int(exp, f"bad power in token {tok!r}") if caret else 1
+    if base in ("D", "d"):
+        return _DELTA, power
+    if base in ("e", "E"):
+        return (), power
+    v = read_int(base[1:] if base.startswith("s") else base,
+                 f"unrecognized braid token {tok!r}")
+    if v == 0:
+        raise PreconditionError("0 is not a valid braid letter")
+    return ((abs(v), 1 if v > 0 else -1),), power
+
+
+def _expand(items: list[tuple], degree: int) -> list[Letter]:
+    """The letters of read items.  A cap error reports the letters of the
+    open group so far plus those of the item that overflows."""
+    out: list[Letter] = []
+    outer: list[list[Letter]] = []  # the letters of each enclosing open group
+    for base, k in items:
+        if base is _OPEN:
+            outer.append(out)
+            out = []
+            continue
+        if base is _CLOSE:
+            base, out = out, outer.pop()
+        elif base is _DELTA:  # m(m-1)/2 letters: checked before they are built
+            check_cap(degree * (degree - 1) // 2 * abs(k))
+            base = garside_delta(degree).letters
+        check_cap(len(out) + len(base) * abs(k))
+        out.extend(_word_power(base, k))
+    return out
+
+
+def _word_power(letters: Sequence[Letter], k: int) -> Sequence[Letter]:
     if k >= 0:
         return letters * k
     inv = [(i, -s) for i, s in reversed(letters)]
     return inv * (-k)
-
-
-def _parse_token(tok: str, degree: int, build: bool) -> tuple[list[Letter], int]:
-    """A token's letters and its power, not yet expanded; a half twist is
-    built only under ``build``, in a group whose power is not zero."""
-    base, caret, exp = tok.partition("^")
-    power = 1
-    if caret:
-        try:
-            power = int(exp)
-        except ValueError:
-            raise PreconditionError(f"bad power in token {tok!r}") from None
-    if base in ("D", "d"):
-        if not (build and power):
-            return [], power
-        # Delta has m(m-1)/2 letters: check before building it
-        check_cap(degree * (degree - 1) // 2 * abs(power))
-        return list(garside_delta(degree).letters), power
-    if base in ("e", "E"):
-        return [], power
-    if base.startswith("s"):
-        base = base[1:]
-    try:
-        v = int(base)
-    except ValueError:
-        raise PreconditionError(f"unrecognized braid token {tok!r}") from None
-    if v == 0:
-        raise PreconditionError("0 is not a valid braid letter")
-    return [(abs(v), 1 if v > 0 else -1)], power
 
 
 def garside_delta(degree: int) -> BraidWord:

@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 from .artin import format_free_word
 from .braids import BraidWord, format_braid, parse_braid
-from .errors import PreconditionError, SearchBudgetExceeded
+from .errors import PreconditionError, SearchBudgetExceeded, read_int
 from .movies import read_movie
 from .presentations import (
     FiniteGroup,
@@ -87,11 +87,10 @@ def _cmd_abelianization(args: argparse.Namespace, a: BraidWord, b: BraidWord) ->
 
 def _parse_finite_group(name: str) -> FiniteGroup:
     tag = name.strip().upper()
-    if len(tag) < 2 or tag[0] not in "SDZ" or not tag[1:].isdigit():
-        raise PreconditionError(
-            f"unrecognized group {name!r}; expected S<k>, D<k> or Z<k>"
-        )
-    k = int(tag[1:])
+    error = f"unrecognized group {name!r}; expected S<k>, D<k> or Z<k>"
+    if tag[:1] not in ("S", "D", "Z") or tag[1:2] in ("+", "-"):  # a letter, then digits
+        raise PreconditionError(error)
+    k = read_int(tag[1:], error)
     if tag[0] == "S":
         return symmetric_group(k)
     if tag[0] == "D":
@@ -174,10 +173,7 @@ def _cmd_h_member(args: argparse.Namespace) -> Result:
     entries = args.matrix.split()
     if len(entries) != 9:
         raise PreconditionError("--matrix expects 9 integers in row order")
-    try:
-        nums = [int(x) for x in entries]
-    except ValueError as exc:
-        raise PreconditionError(f"--matrix entries must be integers: {exc}")
+    nums = [read_int(x, f"--matrix entries must be integers, got {x!r}") for x in entries]
     rows = tuple(tuple(nums[3 * i : 3 * i + 3]) for i in range(3))
     member = h_membership(rows)
     payload = {"matrix": rows, "member": member}

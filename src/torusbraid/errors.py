@@ -1,4 +1,6 @@
-"""Exception types, and the one file gate: a failed read or write is a PreconditionError."""
+"""Exception types, and the gates of typed input: a failed read or write of a
+file, or an integer that is not an optional sign and ASCII digits, is a
+PreconditionError."""
 
 from __future__ import annotations
 
@@ -53,3 +55,18 @@ def write_lines(path: str, what: str, lines: list[str]) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise PreconditionError(f"cannot write {what} file {path}: {exc}") from None
+
+
+def read_int(text: str, message: str) -> int:
+    """The integer that ``text`` spells as an optional sign and ASCII digits.
+
+    Anything else raises ``PreconditionError(message)``: ``1_000``, other
+    Unicode digits, or more digits than ``int()`` converts.
+    """
+    if not (text.isascii()
+            and (text.isdigit() or (text[:1] in ("+", "-") and text[1:].isdigit()))):
+        raise PreconditionError(message)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on digits
+        raise PreconditionError(message) from None

@@ -32,7 +32,7 @@ Mixed-sign pairs are not supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence, Union
 
 from .braids import (
@@ -44,7 +44,7 @@ from .braids import (
     parse_braid,
 )
 from .errors import MovieGenerationError, MovieValidationError, PreconditionError
-from .errors import read_lines, write_lines
+from .errors import read_int, read_lines, write_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,6 +245,12 @@ def mirror_chart(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord]:
 # ---------------------------------------------------------------------------
 
 
+# The file keyword of each step kind.  A step line is the keyword, then the
+# step's fields in their order; signs are written ``+`` or ``-``.
+_KEYWORDS = {FarSwap: "far", R3: "r3", CancelPair: "cancel", InsertPair: "insert"}
+_STEPS = {key: kind for kind, key in _KEYWORDS.items()}
+
+
 def write_movie(movie: ChartMovie, path: str) -> None:
     """Write the plain-text movie format (see :func:`read_movie`)."""
     lines = [
@@ -253,16 +259,11 @@ def write_movie(movie: ChartMovie, path: str) -> None:
         f"b {format_braid(movie.braid_b)}",
     ]
     for st in movie.steps:
-        if isinstance(st, FarSwap):
-            lines.append(f"far {st.pos}")
-        elif isinstance(st, R3):
-            lines.append(f"r3 {st.pos} {'+' if st.sign > 0 else '-'}")
-        elif isinstance(st, CancelPair):
-            lines.append(f"cancel {st.pos}")
-        else:
-            lines.append(
-                f"insert {st.pos} {st.index} {'+' if st.sign > 0 else '-'}"
-            )
+        line = [_KEYWORDS[type(st)]]
+        for f in fields(st):
+            v = getattr(st, f.name)
+            line.append(("+" if v > 0 else "-") if f.name == "sign" else str(v))
+        lines.append(" ".join(line))
     write_lines(path, "movie", lines)
 
 
@@ -273,50 +274,42 @@ def read_movie(path: str) -> ChartMovie:
     grammar of :func:`torusbraid.braids.parse_braid`), then one step per line:
     ``far P`` | ``r3 P +`` | ``r3 P -`` | ``cancel P`` | ``insert P I +-``.
     :func:`torusbraid.errors.read_lines` drops blank lines and ``#`` comments,
-    and ``parse_braid`` caps the degree.  The movie is not validated here; run
+    integers are read by :func:`torusbraid.errors.read_int`, and
+    ``parse_braid`` caps the degree.  The movie is not validated here; run
     :func:`validate_movie`.
     """
     degree: int | None = None
-    a: BraidWord | None = None
-    b: BraidWord | None = None
+    words: dict[str, BraidWord] = {}
     steps: list[Step] = []
     for lineno, line in read_lines(path, "movie"):
         parts = line.split(None, 1)
         key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
         try:
             if key == "degree":
-                degree = int(rest)
+                degree = read_int(rest, f"bad integer {rest!r}")
             elif key in ("a", "b"):
                 if degree is None:
                     raise ValueError("degree must come first")
-                braid = parse_braid(rest, degree)
-                if key == "a":
-                    a = braid
-                else:
-                    b = braid
-            elif key == "far":
-                steps.append(FarSwap(int(rest)))
-            elif key == "r3":
-                pos, sign = rest.split()
-                steps.append(R3(int(pos), _parse_sign(sign)))
-            elif key == "cancel":
-                steps.append(CancelPair(int(rest)))
-            elif key == "insert":
-                pos, index, sign = rest.split()
-                steps.append(
-                    InsertPair(int(pos), int(index), _parse_sign(sign))
-                )
+                words[key] = parse_braid(rest, degree)
+            elif key in _STEPS:
+                kind, values = _STEPS[key], rest.split()
+                names = [f.name for f in fields(kind)]
+                if len(values) != len(names):
+                    raise ValueError(f"expected {key} {' '.join(names).upper()}")
+                steps.append(kind(*(
+                    _parse_sign(v) if name == "sign" else read_int(v, f"bad integer {v!r}")
+                    for name, v in zip(names, values))))
             else:
                 raise ValueError(f"unknown directive {key!r}")
         except ValueError as exc:
             raise PreconditionError(
                 f"{path}:{lineno}: bad movie line {line!r} ({exc})"
             ) from None
-    if degree is None or a is None or b is None:
+    if degree is None or len(words) < 2:
         raise PreconditionError(
             f"{path}: movie file must declare degree, a and b"
         )
-    return ChartMovie(degree, a, b, tuple(steps))
+    return ChartMovie(degree, words["a"], words["b"], tuple(steps))
 
 
 def _parse_sign(tok: str) -> int:

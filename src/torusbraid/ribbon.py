@@ -28,7 +28,7 @@ from .braids import (
     parse_braid,
     permutation,
 )
-from .errors import PreconditionError, read_lines, write_lines
+from .errors import PreconditionError, read_int, read_lines, write_lines
 
 # ---------------------------------------------------------------------------
 # integer Laurent polynomials
@@ -552,10 +552,11 @@ def read_witness(path: str) -> CableDecomposition:
         fields[key.strip()] = val.strip()
     if "blocks" not in fields:
         raise PreconditionError("witness file is missing the blocks line")
-    try:
-        n, m = map(int, fields["blocks"].replace("x", " ").split())
-    except ValueError:
-        raise PreconditionError(f"malformed blocks line: {fields['blocks']!r}") from None
+    error = f"malformed blocks line: {fields['blocks']!r}"
+    sizes = fields["blocks"].replace("x", " ").split()
+    if len(sizes) != 2:
+        raise PreconditionError(error)
+    n, m = (read_int(k, error) for k in sizes)
     if "tubular" not in fields:
         raise PreconditionError("witness file is missing the tubular braid")
     tubular = parse_braid(fields["tubular"], m)

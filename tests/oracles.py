@@ -8,13 +8,15 @@ linear forms of ``quandles._coloring_generators`` and ``triple_points``, the
 per-letter normal form by one factor per simple run in
 ``braids.normal_form``, the per-block strand deletion by the one-pass
 ``ribbon._induced``, the parser of every subcommand by ``cli._parser`` of
-the one being run).
+the one being run, the braid parser's pre-pass over parentheses by reading
+the word before expanding it).
 """
 
 from __future__ import annotations
 
 import argparse
 from collections import deque
+from contextlib import suppress
 from dataclasses import replace
 from math import gcd
 
@@ -26,6 +28,7 @@ from torusbraid.braids import (
     Perm,
     _append,
     _gather_deltas,
+    _word_power,
     check_cap,
     garside_delta,
 )
@@ -481,3 +484,89 @@ def full_parser_oracle() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_h_member)
 
     return parser
+
+
+def prepass_parse_braid(text: str, degree: int) -> BraidWord:
+    """``braids.parse_braid`` as it was before it read a word in full
+    before expanding it: a pre-pass over the parentheses finds the groups to
+    the power zero, then each group is built as its tokens are read unless
+    it is one of them.  Integers are read by ``int()``."""
+    check_cap(degree, "braid degree", "strands")
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    # a group's power follows its ')': read it before the group's tokens
+    zero: set[int] = set()  # where groups to the power zero open
+    opened: list[int] = []
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            opened.append(i)
+        elif tok == ")" and opened:
+            start, suffix = opened.pop(), "".join(tokens[i + 1 : i + 2])
+            with suppress(PreconditionError):  # a bad power is refused after its group
+                if suffix.startswith("^") and _prepass_parse_power(suffix) == 0:
+                    zero.add(start)
+    pos = 0
+
+    def parse_seq(depth: int, build: bool) -> list[Letter]:
+        nonlocal pos
+        out: list[Letter] = []
+        while pos < len(tokens):
+            tok = tokens[pos]
+            pos += 1
+            if tok == ")":
+                if depth == 0:
+                    raise PreconditionError("unbalanced ')' in braid word")
+                return out
+            if tok == "(":
+                base = parse_seq(depth + 1, build and pos - 1 not in zero)
+                power = 1
+                if pos < len(tokens) and tokens[pos].startswith("^"):
+                    power = _prepass_parse_power(tokens[pos])
+                    pos += 1
+            else:
+                base, power = _prepass_parse_token(tok, degree, build)
+            if build:
+                check_cap(len(out) + len(base) * abs(power))
+                out.extend(_word_power(base, power))
+        if depth != 0:
+            raise PreconditionError("unbalanced '(' in braid word")
+        return out
+
+    letters = parse_seq(0, True)
+    return BraidWord(degree, tuple(letters))
+
+
+def _prepass_parse_power(tok: str) -> int:
+    body = tok[1:]
+    try:
+        return int(body)
+    except ValueError:
+        raise PreconditionError(f"bad power suffix {tok!r}") from None
+
+
+def _prepass_parse_token(tok: str, degree: int, build: bool) -> tuple[list[Letter], int]:
+    """A token's letters and its power, not yet expanded; a half twist is
+    built only under ``build``, in a group whose power is not zero."""
+    base, caret, exp = tok.partition("^")
+    power = 1
+    if caret:
+        try:
+            power = int(exp)
+        except ValueError:
+            raise PreconditionError(f"bad power in token {tok!r}") from None
+    if base in ("D", "d"):
+        if not (build and power):
+            return [], power
+        # Delta has m(m-1)/2 letters: check before building it
+        check_cap(degree * (degree - 1) // 2 * abs(power))
+        return list(garside_delta(degree).letters), power
+    if base in ("e", "E"):
+        return [], power
+    if base.startswith("s"):
+        base = base[1:]
+    try:
+        v = int(base)
+    except ValueError:
+        raise PreconditionError(f"unrecognized braid token {tok!r}") from None
+    if v == 0:
+        raise PreconditionError("0 is not a valid braid letter")
+    return [(abs(v), 1 if v > 0 else -1)], power

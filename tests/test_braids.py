@@ -36,9 +36,9 @@ from torusbraid.braids import (
     permutation,
     word,
 )
-from torusbraid.errors import PreconditionError, SearchBudgetExceeded
+from torusbraid.errors import PreconditionError, SearchBudgetExceeded, read_int
 
-from oracles import _transposition, per_letter_normal_form
+from oracles import _transposition, per_letter_normal_form, prepass_parse_braid
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -124,6 +124,87 @@ def test_parse_builds_nothing_in_a_group_to_the_power_zero(text):
 def test_parse_checks_every_token_of_a_group_to_the_power_zero(text, message):
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         parse_braid(text, 100_000)
+
+
+BIG = "9" * 5000  # more digits than int() converts by default since Python 3.11
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("7", 7), ("-12", -12), ("+3", 3), ("007", 7), ("-0", 0)])
+def test_read_int_reads_a_sign_and_ascii_digits(text, value):
+    assert read_int(text, "no") == value
+
+
+@pytest.mark.parametrize("text", [
+    "", "+", "-", "1_000", "²", "١", "３", "1.0", "0x1", " 1", "1 ", "--1", "+-1", BIG])
+def test_read_int_refuses_everything_else_with_the_given_message(text):
+    with pytest.raises(PreconditionError, match="^no$"):
+        read_int(text, "no")
+
+
+@pytest.mark.parametrize("bad", ["1_000", "²", BIG])
+@pytest.mark.parametrize("template, message", [
+    ("{}", "unrecognized braid token '{}'"),
+    ("s{}", "unrecognized braid token 's{}'"),
+    ("s1^{}", "bad power in token 's1^{}'"),
+    ("(1 2)^{}", "bad power suffix '^{}'"),
+])
+def test_parse_refuses_integers_other_than_a_sign_and_ascii_digits(bad, template, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message.format(bad))}$"):
+        parse_braid(template.format(bad), 3)
+
+
+def _random_word(rng: random.Random, depth: int = 0) -> str:
+    """ASCII text in and around the word grammar: letters, s-tokens, half
+    twists, ``e``, nested groups to small powers of either sign, and now and
+    then a bad power, a bad token or a stray parenthesis."""
+    def power(bad: list[str]) -> str:
+        return rng.choice(bad) if rng.random() < 0.05 else rng.choice(
+            ["", "", "^0", "^-0", "^1", "^2", "^-1", "^-2", "^+1"])
+
+    parts = []
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if roll < 0.3:
+            parts.append(str(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])))
+        elif roll < 0.45:
+            parts.append(rng.choice(["s", "s", "s+", "s-"]) + str(rng.randint(1, 4))
+                         + power(["^x", "^", "^1^2"]))
+        elif roll < 0.55:
+            parts.append(rng.choice(["D", "d", "e", "E"]) + power(["^y", "^-"]))
+        elif roll < 0.95 and depth < 3:
+            parts.append(f"({_random_word(rng, depth + 1)})"
+                         + rng.choice(["", " "]) + power(["^z", "^", "^2^"]))
+        else:
+            parts.append(rng.choice(["x", "(", ")", "^2", "--1", "1^", "007", "Ds", "0", "s0",
+                                     "ss1", "x^y", "0^x", "s^"]))
+    return rng.choice([" ", "  ", "\t"]).join(parts)
+
+
+def _outcome(parse, text: str, degree: int):
+    try:
+        return parse(text, degree)
+    except (PreconditionError, SearchBudgetExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_matches_the_prepass_parser_on_random_words():
+    rng = random.Random(20261021)
+    for _ in range(4000):
+        text, degree = _random_word(rng), rng.randint(2, 6)
+        assert _outcome(parse_braid, text, degree) == _outcome(prepass_parse_braid, text, degree), text
+
+
+@pytest.mark.parametrize("text", [
+    "D", "(D)^1", "1 D^-2", "(D)^0", "((D)^3)^0", "D^0 1", "(D x)^0", "(D (s1^2000000)^1)^0",
+    "(1)^600000 (2)^600000", "((1 2)^1000)^10000000", "s1^1000000", "1 s1^999999", "s1^1000001",
+])
+def test_parse_matches_the_prepass_parser_at_the_cap(text):
+    assert _outcome(parse_braid, text, 100_000) == _outcome(prepass_parse_braid, text, 100_000)
+
+
+def test_parse_reads_groups_nested_past_the_recursion_limit():
+    assert parse_braid("(" * 5000 + "1 -2" + ")" * 5000 + "^2", 3) == word(3, [1, -2, 1, -2])
 
 
 def test_parse_accepts_a_word_at_the_cap():

@@ -16,7 +16,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torusbraid
@@ -673,6 +673,16 @@ def test_movie_errors_exit_2_with_one_line(capsys, tmp_path):
         2, "", "error: mixed-sign pairs are not supported by the slide generator\n")
 
 
+@pytest.mark.parametrize("step", ["far 1 2", "r3 5", "insert 0 1 *", "cancel ١", "wobble 4"])
+def test_bad_movie_step_lines_exit_2_with_one_line(capsys, tmp_path, step):
+    path = tmp_path / "movie.txt"
+    path.write_text(f"degree 2\na 1\nb 1\n{step}\n", encoding="utf-8")
+    code, out, err = run(capsys, "cocycle", "-m", "2", "-a", "1", "-b", "1", "--movie", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:4: bad movie line {step!r} (")
+    assert err.count("\n") == 1
+
+
 def _bad_file_exits_2(capsys, *argv: str) -> None:
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -730,6 +740,36 @@ def test_h_member_rejects_short_matrix(capsys):
     code, _, err = run(capsys, "h-member", "--matrix", "1 0 0")
     assert code == 2
     assert "9 integers" in err
+
+
+BIG = "9" * 5000  # more digits than int() converts by default since Python 3.11
+
+
+@pytest.mark.parametrize("bad", ["1_000", "²", BIG])
+def test_group_order_is_a_sign_free_ascii_integer(capsys, bad):
+    for name in (f"Z{bad}", f"s{bad}"):
+        assert run(capsys, "quotients", "-m", "3", "-a", "1", "-b", "1", "--group", name) == (
+            2, "", f"error: unrecognized group {name!r}; expected S<k>, D<k> or Z<k>\n")
+
+
+@pytest.mark.parametrize("name", ["S+3", "Z-2", "D 3", "Z"])
+def test_group_order_keeps_refusing_signs_and_spaces(capsys, name):
+    assert run(capsys, "quotients", "-m", "3", "-a", "1", "-b", "1", "--group", name)[0] == 2
+
+
+@pytest.mark.parametrize("bad", ["1_000", "²", BIG])
+def test_matrix_entries_are_ascii_integers(capsys, bad):
+    assert run(capsys, "h-member", "--matrix", f"1 0 0 0 1 0 0 0 {bad}") == (
+        2, "", f"error: --matrix entries must be integers, got {bad!r}\n")
+
+
+@pytest.mark.parametrize("bad", ["1_000", "²", BIG])
+def test_witness_blocks_are_ascii_integers(capsys, tmp_path, bad):
+    path = tmp_path / "witness.txt"
+    path.write_text(f"blocks 2 x {bad}\ntubular: 1 1\n", encoding="utf-8")
+    assert run(capsys, "ribbon", "-m", "4", "-a", "1 3", "-b", "D^2", "--block-size", "2",
+               "--block-count", "2", "--witness", str(path)) == (
+        2, "", f"error: malformed blocks line: '2 x {bad}'\n")
 
 
 def test_help_states_scope():
@@ -848,7 +888,7 @@ def test_cli_import_starts_no_process_machinery():
 _TOKENS = st.one_of(
     st.integers(-6, 6).map(str),  # 0 and letters past the degree included
     st.integers(-2, 2).map(lambda k: f"D^{k}"),
-    st.sampled_from(["x", "(", ")", "e", "s2^-1", "^2", "D^x"]),
+    st.sampled_from(["x", "(", ")", "e", "s2^-1", "^2", "D^x", "1_0", "s²", "1^١"]),
     st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=3).flatmap(
         lambda g: st.integers(-2, 2).map(lambda k: f"({' '.join(map(str, g))})^{k}")),
 )
@@ -856,7 +896,7 @@ _WORDS = st.lists(_TOKENS, max_size=4).map(" ".join)
 _OPTIONS = {
     "group": st.sampled_from([[], ["--simplify"]]),
     "abelianization": st.sampled_from([[], ["--quotient-center"]]),
-    "quotients": st.sampled_from(["Z2", "Z3", "S3", "D1", "Q8", "Zx"]).map(
+    "quotients": st.sampled_from(["Z2", "Z3", "S3", "D1", "Q8", "Zx", "S²", "Z١", "D1_0", "Z" + BIG]).map(
         lambda g: ["--group", g]),
     "colorings": st.integers(-1, 7).map(lambda p: ["--quandle", str(p)]),
     "cocycle": st.just([]),
@@ -870,7 +910,7 @@ _OPTIONS = {
 def _argv(draw):
     command = draw(st.sampled_from([*_OPTIONS, "h-member"]))
     if command == "h-member":
-        entries = draw(st.lists(st.sampled_from(["0", "1", "-1", "2", "x"]), max_size=10))
+        entries = draw(st.lists(st.sampled_from(["0", "1", "-1", "2", "x", "١", "1_0"]), max_size=10))
         return [command, "--matrix", " ".join(entries)]
     pair = ["-m", str(draw(st.integers(-1, 6))), "-a", draw(_WORDS), "-b", draw(_WORDS)]
     argv = [command, *pair, *draw(_OPTIONS[command]), *draw(st.sampled_from([[], ["--json"]]))]
@@ -884,6 +924,10 @@ def _argv(draw):
 
 @settings(deadline=None, max_examples=500)
 @given(_argv())
+@example(["quotients", "-m", "3", "-a", "1", "-b", "1", "--group", "S²"])
+@example(["quotients", "-m", "3", "-a", "1", "-b", "1", "--group", "Z" + BIG])
+@example(["group", "-m", "3", "-a", "1^1_0", "-b", "1"])
+@example(["h-member", "--matrix", "1 0 0 0 1 0 0 0 ١"])
 def test_no_input_ends_in_a_traceback(argv):
     code, out, err = _exit(main, argv)
     assert code in (0, 2, 3), (argv, code, err)

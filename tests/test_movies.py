@@ -388,6 +388,51 @@ def test_write_read_round_trip(tmp_path):
     assert read_movie(path) == movie
 
 
+def test_write_read_round_trip_of_every_step_kind_and_sign(tmp_path):
+    steps = (FarSwap(0), R3(1, 1), R3(2, -1), CancelPair(3),
+             InsertPair(0, 2, 1), InsertPair(5, 1, -1))
+    movie = ChartMovie(3, word(3, [1, -2]), word(3, [2]), steps)
+    path = tmp_path / "movie.txt"
+    write_movie(movie, str(path))
+    assert path.read_text(encoding="utf-8") == (
+        "degree 3\na 1 -2\nb 2\nfar 0\nr3 1 +\nr3 2 -\ncancel 3\n"
+        "insert 0 2 +\ninsert 5 1 -\n")
+    assert read_movie(str(path)) == movie
+
+
+def _movie_file(tmp_path, step: str) -> str:
+    path = tmp_path / "movie.txt"
+    path.write_text(f"degree 3\na 1\nb 1\n{step}\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("step, reason", [
+    ("far 1 2", "expected far POS"),
+    ("r3 5", "expected r3 POS SIGN"),
+    ("insert 0 1 *", "bad sign '*'"),
+    ("cancel ١", "bad integer '١'"),
+    ("wobble 4", "unknown directive 'wobble'"),
+])
+def test_read_movie_refuses_bad_step_lines(tmp_path, step, reason):
+    path = _movie_file(tmp_path, step)
+    with pytest.raises(PreconditionError) as exc:
+        read_movie(path)
+    assert str(exc.value) == f"{path}:4: bad movie line {step!r} ({reason})"
+
+
+@pytest.mark.parametrize("bad", ["1_000", "²", "9" * 5000])
+@pytest.mark.parametrize("line", ["degree {}", "far {}", "r3 {} +", "insert 0 {} -"])
+def test_read_movie_reads_ascii_integers_only(tmp_path, bad, line):
+    path = tmp_path / "movie.txt"
+    text = line.format(bad)
+    path.write_text(f"{text}\na 1\nb 1\n" if line.startswith("degree")
+                    else f"degree 3\na 1\nb 1\n{text}\n", encoding="utf-8")
+    lineno = 1 if line.startswith("degree") else 4
+    with pytest.raises(PreconditionError) as exc:
+        read_movie(str(path))
+    assert str(exc.value) == f"{path}:{lineno}: bad movie line {text!r} (bad integer {bad!r})"
+
+
 def test_write_movie_to_an_unwritable_path_is_a_precondition_error(tmp_path):
     movie = slide_movie(word(3, [1]), word(3, [1, 2]) ** 3)
     path = str(tmp_path / "missing" / "movie.txt")
