@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .braids import BraidWord, check_cap, word
+from .braids import BraidWord, _word_power, check_cap, word
 from .errors import PreconditionError
 
 FreeLetter = tuple[int, int]
@@ -62,12 +62,10 @@ class FreeWord:
         return FreeWord(self.rank, self.letters + other.letters)
 
     def __pow__(self, k: int) -> "FreeWord":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return FreeWord(self.rank, self.letters * k)
+        return FreeWord(self.rank, _word_power(self.letters, k))
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple((j, -s) for j, s in reversed(self.letters)))
+        return FreeWord(self.rank, _word_power(self.letters, -1))
 
     def __len__(self) -> int:
         return len(self.letters)

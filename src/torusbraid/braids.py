@@ -102,15 +102,11 @@ class BraidWord:
         return BraidWord(self.degree, self.letters + other.letters)
 
     def __pow__(self, k: int) -> "BraidWord":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return BraidWord(self.degree, self.letters * k)
+        return BraidWord(self.degree, _word_power(self.letters, k))
 
     def inverse(self) -> "BraidWord":
         """The letterwise inverse word (reversed order, flipped signs)."""
-        return BraidWord(
-            self.degree, tuple((i, -s) for i, s in reversed(self.letters))
-        )
+        return BraidWord(self.degree, _word_power(self.letters, -1))
 
     def reverse(self) -> "BraidWord":
         """The reversed word (same signs) -- the braid read back to front.
@@ -202,11 +198,12 @@ def parse_braid(text: str, degree: int) -> BraidWord:
     return BraidWord(degree, tuple(_expand(items, degree)))
 
 
-def check_cap(size: int, what: str = "braid word", unit: str = "letters") -> None:
-    if size > WORD_CAP:
-        raise SearchBudgetExceeded(
-            f"{what} reaches {size} {unit}, over the cap of {WORD_CAP}"
-        )
+def check_cap(size: int, what: str = "braid word", unit: str = "letters",
+              cap: int | None = None) -> None:
+    """Refuse ``size`` past ``cap``, by default ``WORD_CAP`` as read at the call."""
+    cap = WORD_CAP if cap is None else cap
+    if size > cap:
+        raise SearchBudgetExceeded(f"{what} reaches {size} {unit}, over the cap of {cap}")
 
 
 _OPEN, _CLOSE, _DELTA = "(", ")", "D"  # the bases of read items that are not letters
@@ -248,10 +245,10 @@ def _expand(items: list[tuple], degree: int) -> list[Letter]:
 
 
 def _word_power(letters: Sequence[Letter], k: int) -> Sequence[Letter]:
-    if k >= 0:
-        return letters * k
-    inv = [(i, -s) for i, s in reversed(letters)]
-    return inv * (-k)
+    """``letters`` to the power ``k``; a negative power repeats the inverse."""
+    if k < 0:
+        letters, k = tuple((i, -s) for i, s in reversed(letters)), -k
+    return letters * k
 
 
 def garside_delta(degree: int) -> BraidWord:
@@ -423,9 +420,7 @@ def _tau(p: Perm) -> Perm:
 
 def _check_work(steps: int, m: int) -> None:
     check_cap(steps, "normal form", "left-weighting steps")
-    if steps * m > WIDTH_CAP:
-        raise SearchBudgetExceeded(f"normal form reaches {steps * m} permutation "
-                                   f"entries, over the cap of {WIDTH_CAP}")
+    check_cap(steps * m, "normal form", "permutation entries", WIDTH_CAP)
 
 
 def _gather_deltas(m: int, infimum: int, factors: list[Perm]) -> NormalForm:

@@ -88,7 +88,8 @@ def _cmd_abelianization(args: argparse.Namespace, a: BraidWord, b: BraidWord) ->
 def _parse_finite_group(name: str) -> FiniteGroup:
     tag = name.strip().upper()
     error = f"unrecognized group {name!r}; expected S<k>, D<k> or Z<k>"
-    if tag[:1] not in ("S", "D", "Z") or tag[1:2] in ("+", "-"):  # a letter, then digits
+    # an ASCII letter, then digits: upper() folds the long s 'ſ' to 'S'
+    if not name.isascii() or tag[:1] not in ("S", "D", "Z") or tag[1:2] in ("+", "-"):
         raise PreconditionError(error)
     k = read_int(tag[1:], error)
     if tag[0] == "S":

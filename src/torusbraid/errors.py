@@ -24,8 +24,8 @@ class MovieValidationError(PreconditionError):
 class MovieGenerationError(PreconditionError):
     """The movie generator does not cover this pair (CLI exit code 2).
 
-    The message is a diagnostic (which letter got stuck and why), not a proof
-    that no movie exists.
+    Raised only for a mixed-sign pair, which the slide generator does not
+    take; it is not a proof that no movie exists.
     """
 
 

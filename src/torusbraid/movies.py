@@ -75,10 +75,13 @@ Step = Union[FarSwap, R3, CancelPair, InsertPair]
 
 @dataclass(frozen=True, slots=True)
 class ChartMovie:
-    degree: int
     braid_a: BraidWord
     braid_b: BraidWord
     steps: tuple[Step, ...]
+
+    @property
+    def degree(self) -> int:
+        return self.braid_a.degree
 
     @property
     def start_word(self) -> tuple[Letter, ...]:
@@ -229,7 +232,7 @@ def slide_movie(a: BraidWord, b: BraidWord) -> ChartMovie:
             "mixed-sign pairs are not supported by the slide generator"
         )
     steps = tuple(_positive_path((a * b).letters, (b * a).letters))
-    return ChartMovie(a.degree, a, b, steps)
+    return ChartMovie(a, b, steps)
 
 
 def mirror_chart(a: BraidWord, b: BraidWord) -> tuple[BraidWord, BraidWord]:
@@ -270,7 +273,7 @@ def write_movie(movie: ChartMovie, path: str) -> None:
 def read_movie(path: str) -> ChartMovie:
     """Read a movie file.
 
-    Format: ``degree m`` then ``a <letters>`` and ``b <letters>`` (the braid
+    Format: ``degree m`` once, then ``a <letters>`` and ``b <letters>`` (the braid
     grammar of :func:`torusbraid.braids.parse_braid`), then one step per line:
     ``far P`` | ``r3 P +`` | ``r3 P -`` | ``cancel P`` | ``insert P I +-``.
     :func:`torusbraid.errors.read_lines` drops blank lines and ``#`` comments,
@@ -286,6 +289,8 @@ def read_movie(path: str) -> ChartMovie:
         key, rest = parts[0], (parts[1] if len(parts) > 1 else "")
         try:
             if key == "degree":
+                if degree is not None:
+                    raise ValueError("degree given twice")
                 degree = read_int(rest, f"bad integer {rest!r}")
             elif key in ("a", "b"):
                 if degree is None:
@@ -309,7 +314,7 @@ def read_movie(path: str) -> ChartMovie:
         raise PreconditionError(
             f"{path}: movie file must declare degree, a and b"
         )
-    return ChartMovie(degree, words["a"], words["b"], tuple(steps))
+    return ChartMovie(words["a"], words["b"], tuple(steps))
 
 
 def _parse_sign(tok: str) -> int:

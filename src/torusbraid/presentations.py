@@ -45,6 +45,13 @@ class GroupPresentation:
     generators: tuple[str, ...]
     relators: tuple[FreeWord, ...]
 
+    def __post_init__(self) -> None:
+        for w in self.relators:
+            if w.rank != self.rank:
+                raise PreconditionError(
+                    f"relator rank {w.rank} does not match presentation rank {self.rank}"
+                )
+
     @property
     def rank(self) -> int:
         return len(self.generators)
@@ -155,10 +162,6 @@ def tietze_eliminate(p: GroupPresentation) -> GroupPresentation:
 
 def add_relator(p: GroupPresentation, w: FreeWord) -> GroupPresentation:
     """The quotient presentation with one extra relator."""
-    if w.rank != p.rank:
-        raise PreconditionError(
-            f"relator rank {w.rank} does not match presentation rank {p.rank}"
-        )
     w = free_reduce(w)
     relators = p.relators + ((w,) if w.letters else ())
     return GroupPresentation(p.generators, relators)
@@ -233,12 +236,8 @@ def smith_form(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     a = [list(map(int, row)) for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    work = nrows * ncols * min(nrows, ncols)
-    if work > TUPLE_CAP:
-        raise SearchBudgetExceeded(
-            f"Smith form of a {nrows} x {ncols} matrix reaches {work} steps, "
-            f"over the cap of {TUPLE_CAP}"
-        )
+    check_cap(nrows * ncols * min(nrows, ncols),
+              f"Smith form of a {nrows} x {ncols} matrix", "steps", TUPLE_CAP)
     transform = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     out: list[int] = []
     t = 0

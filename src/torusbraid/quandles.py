@@ -254,7 +254,7 @@ def cocycle_invariant(
     if movie is None:
         movie = slide_movie(a, b)
     else:
-        if movie.braid_a != a or movie.braid_b != b or movie.degree != a.degree:
+        if movie.braid_a != a or movie.braid_b != b:
             raise PreconditionError("movie belongs to a different pair")
         validate_movie(movie)
     gens = _coloring_generators(a, b, q)

@@ -251,7 +251,7 @@ def closed_form_movie(a: BraidWord, b: BraidWord) -> ChartMovie | None:
     if negative:
         steps = [st if isinstance(st, (FarSwap, CancelPair)) else replace(st, sign=-st.sign)
                  for st in steps]
-    return ChartMovie(a.degree, a, b, tuple(steps))
+    return ChartMovie(a, b, tuple(steps))
 
 
 def _push(c: tuple[int, ...], letter: Letter, q: Quandle) -> tuple[int, ...]:

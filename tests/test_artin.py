@@ -238,3 +238,16 @@ def test_pseudo_anosov_images_at_k10_stay_under_the_cap():
     # the closed-pipe CLI test needs this pair's full output of about 390 KB
     total = sum(len(w) for w in artin_images(parse_braid("(1 -2)^10", 3)))
     assert 40_000 < total < WORD_CAP
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-3, 3).filter(bool), max_size=6), st.integers(-3, 3))
+def test_braid_and_free_word_powers_agree_with_products(signed, k):
+    # one rule for both kinds of word: the inverse reverses and flips, and a
+    # power is a product of copies of the word or of its inverse
+    bw, fw = word(4, signed), free_word(3, signed)
+    inv = tuple((i, -s) for i, s in reversed(bw.letters))
+    assert bw.inverse().letters == fw.inverse().letters == inv
+    expect = (bw.letters if k >= 0 else inv) * abs(k)
+    assert (bw ** k).letters == (fw ** k).letters == expect
+    assert type((bw ** k).letters) is type((fw ** k).letters) is tuple

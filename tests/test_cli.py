@@ -936,3 +936,70 @@ def test_no_input_ends_in_a_traceback(argv):
     full = mock.Mock(parse_known_args=lambda a: (full_parser_oracle().parse_args(a), []))
     with mock.patch.object(cli, "_parser", lambda rows: full):
         assert _exit(main, argv) == (code, out, err)
+
+
+def test_group_name_is_ascii(capsys):
+    # str.upper() folds the long s to 'S'; the name is refused before it is folded
+    assert "ſ3".upper() == "S3"
+    assert run(capsys, "quotients", "-m", "3", "-a", "1", "-b", "1", "--group", "ſ3") == (
+        2, "", "error: unrecognized group 'ſ3'; expected S<k>, D<k> or Z<k>\n")
+
+
+def test_dihedral_group_names_count_the_dihedral_group(capsys):
+    # D3 is S3 under another name, and D4 has 8 elements, not the 24 of S4
+    pair = ["quotients", "-m", "2", "-a", "1 1 1", "-b", "e"]
+    code, d3, err = run(capsys, *pair, "--group", "d3")
+    _, s3, _ = run(capsys, *pair, "--group", "S3")
+    assert (code, err, d3.splitlines()[0]) == (0, "", "group: D3")
+    assert d3.splitlines()[1:] == s3.splitlines()[1:]
+    code, out, _ = run(capsys, *pair, "--group", "D4", "--json")
+    doc = json.loads(out)
+    assert (code, doc["group"]) == (0, "D4")
+    assert run(capsys, *pair, "--group", "S4", "--json")[1] != out
+
+
+def _movie_error(capsys, tmp_path, text: str, m: str = "2") -> str:
+    """The stderr of ``cocycle`` on the pair (s1, s1) and a movie file, which exits 2."""
+    path = tmp_path / "movie.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "cocycle", "-m", m, "-a", "1", "-b", "1", "--movie", str(path))
+    assert (code, out) == (2, "")
+    return err.replace(str(path), "PATH")
+
+
+@pytest.mark.parametrize("second", ["5", "3"])
+def test_movie_degree_given_twice_exits_2(capsys, tmp_path, second):
+    # one degree line, so a movie's degree is its braids', repeated or not
+    text = f"degree 3\na 1\nb 1\ndegree {second}\ninsert 0 4 +\ncancel 0\n"
+    assert _movie_error(capsys, tmp_path, text, "3") == (
+        f"error: PATH:4: bad movie line 'degree {second}' (degree given twice)\n")
+
+
+@pytest.mark.parametrize("text, err", [
+    ("a 1\ndegree 2\nb 1\n", "error: PATH:1: bad movie line 'a 1' (degree must come first)\n"),
+    ("degree 2\na 1\n", "error: PATH: movie file must declare degree, a and b\n"),
+    ("degree 2\na 1\nb 1\nfar 5\n",
+     "error: illegal step 0: far swap at 5 out of range for word of length 2\n"),
+    ("degree 2\na 1\nb 1\nr3 1 +\n",
+     "error: illegal step 0: R3 window at 1 out of range for word of length 2\n"),
+    ("degree 2\na 1\nb 1\ncancel 1\n",
+     "error: illegal step 0: cancellation at 1 out of range for word of length 2\n"),
+    ("degree 2\na 1\nb 1\ninsert 3 1 +\n",
+     "error: illegal step 0: insertion at 3 out of range for word of length 2\n"),
+    ("degree 2\na 1\nb 1\ninsert 0 2 +\n", "error: illegal step 0: inserted index 2 out of range\n"),
+])
+def test_movie_file_refusals_exit_2_with_one_line(capsys, tmp_path, text, err):
+    assert _movie_error(capsys, tmp_path, text) == err
+
+
+@pytest.mark.parametrize("text, err", [
+    ("blocks 2 x 2\nnonsense\n", "error: unrecognized witness line: 'nonsense'\n"),
+    ("tubular: 1 1\n", "error: witness file is missing the blocks line\n"),
+    ("blocks 2\ntubular: 1 1\n", "error: malformed blocks line: '2'\n"),
+    ("blocks 2 x 2\ninterior1: e\n", "error: witness file is missing the tubular braid\n"),
+])
+def test_witness_file_refusals_exit_2_with_one_line(capsys, tmp_path, text, err):
+    path = tmp_path / "witness.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "ribbon", "-m", "4", "-a", "1 3", "-b", "D^2", *RIBBON22,
+               "--witness", str(path)) == (2, "", err)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -375,7 +376,7 @@ def test_movie_errors_are_precondition_errors():
 def test_validate_catches_tampered_movie():
     movie = slide_movie(ACCEPT_A, ACCEPT_B)
     bad = ChartMovie(
-        movie.degree, movie.braid_a, movie.braid_b, movie.steps[:-1]
+        movie.braid_a, movie.braid_b, movie.steps[:-1]
     )
     with pytest.raises(MovieValidationError):
         validate_movie(bad)
@@ -391,7 +392,7 @@ def test_write_read_round_trip(tmp_path):
 def test_write_read_round_trip_of_every_step_kind_and_sign(tmp_path):
     steps = (FarSwap(0), R3(1, 1), R3(2, -1), CancelPair(3),
              InsertPair(0, 2, 1), InsertPair(5, 1, -1))
-    movie = ChartMovie(3, word(3, [1, -2]), word(3, [2]), steps)
+    movie = ChartMovie(word(3, [1, -2]), word(3, [2]), steps)
     path = tmp_path / "movie.txt"
     write_movie(movie, str(path))
     assert path.read_text(encoding="utf-8") == (
@@ -458,3 +459,25 @@ def test_read_movie_rejects_garbage(tmp_path):
         fh.write("degree 3\na 1\nb 1 2\nwobble 4\n")
     with pytest.raises((PreconditionError, MovieValidationError)):
         read_movie(path)
+
+
+def test_a_movie_takes_its_degree_from_its_braids():
+    movie = slide_movie(ACCEPT_A, ACCEPT_B)
+    assert [f.name for f in fields(ChartMovie)] == ["braid_a", "braid_b", "steps"]
+    assert movie.degree == ACCEPT_A.degree == 4
+
+
+def test_read_movie_refuses_a_second_degree_line(tmp_path):
+    # a second degree could not give the movie a degree its braids lack
+    path = tmp_path / "movie.txt"
+    path.write_text("degree 3\na 1\nb 1\ndegree 5\ninsert 0 4 +\ncancel 0\n", encoding="utf-8")
+    with pytest.raises(PreconditionError, match=r":4: bad movie line 'degree 5' \(degree given twice\)$"):
+        validate_movie(read_movie(str(path)))
+
+
+def test_insertion_sign_must_be_a_unit():
+    letters = [(1, 1)]
+    with pytest.raises(MovieValidationError) as exc:
+        apply_step(letters, InsertPair(0, 1, 2), 7)
+    assert (exc.value.step_index, exc.value.reason) == (7, "insertion sign must be +1 or -1")
+    assert letters == [(1, 1)]

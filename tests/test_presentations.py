@@ -7,7 +7,7 @@ import random
 import pytest
 
 from torusbraid import braids
-from torusbraid.artin import boundary_word, format_free_word, free_word
+from torusbraid.artin import FreeWord, boundary_word, format_free_word, free_word
 from torusbraid.braids import BraidWord, garside_delta, word
 from torusbraid.errors import PreconditionError, SearchBudgetExceeded
 from torusbraid.presentations import (
@@ -295,3 +295,15 @@ def test_add_relator_appends():
     p = torus_covering_group(*SPUN_TREFOIL)
     q = add_relator(p, free_word(2, [1, 1]))
     assert len(q.relators) == len(p.relators) + 1
+
+
+def test_presentation_refuses_relators_of_another_rank():
+    # the quotient count, abelianization and str() index generators by relator letters
+    with pytest.raises(PreconditionError, match=r"^relator rank 2 does not match presentation rank 1$"):
+        GroupPresentation(("x1",), (FreeWord(2, ((2, 1),)),))
+
+
+def test_add_relator_refuses_a_word_of_another_rank():
+    p = torus_covering_group(word(3, [1]), word(3, [1]))
+    with pytest.raises(PreconditionError, match=r"^relator rank 2 does not match presentation rank 3$"):
+        add_relator(p, FreeWord(2, ((2, 1),)))

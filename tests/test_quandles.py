@@ -425,7 +425,7 @@ def test_triple_points_replay_insertions_and_cancellations():
     # acceptance movie and its mirror drive those branches
     q = dihedral_quandle(3)
     movie = read_movie(FIXTURE)
-    mirror = ChartMovie(movie.degree, *mirror_chart(movie.braid_a, movie.braid_b), tuple(
+    mirror = ChartMovie(*mirror_chart(movie.braid_a, movie.braid_b), tuple(
         replace(st, sign=-st.sign) if isinstance(st, (R3, InsertPair)) else st
         for st in movie.steps))
     for movie in (movie, mirror):
@@ -502,7 +502,7 @@ def test_forms_match_per_coloring_replay_on_generated_movies():
 
 def test_forms_match_per_coloring_replay_on_insertions_and_cancellations():
     movie = read_movie(FIXTURE)
-    mirror = ChartMovie(movie.degree, *mirror_chart(movie.braid_a, movie.braid_b), tuple(
+    mirror = ChartMovie(*mirror_chart(movie.braid_a, movie.braid_b), tuple(
         replace(st, sign=-st.sign) if isinstance(st, (R3, InsertPair)) else st
         for st in movie.steps))
     for movie in (movie, mirror):

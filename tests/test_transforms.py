@@ -168,3 +168,13 @@ def test_h_membership_parity_condition():
     odd = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
     assert smith_invariants(odd) == [1, 1, 1]  # unimodular
     assert not h_membership(odd)
+
+
+@pytest.mark.parametrize("m, message", [
+    (((1, 0), (0, 1)), "expected a 3x3 matrix"),
+    (((1, 0, 0), (0, 1, 0)), "expected a 3x3 matrix"),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1.0)), "matrix entries must be integers"),
+])
+def test_h_membership_refuses_what_is_not_an_integer_3x3_matrix(m, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        h_membership(m)
